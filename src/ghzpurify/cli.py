@@ -2,9 +2,9 @@
 
 Result tables go to stdout (or --out) as CSV and are byte-identical for a
 fixed config and seed; progress and timing go to stderr. Exit codes: 0 on
-success, 1 when a verification check fails, 2 for an invalid configuration,
-3 when the request is outside the protocol's domain (for example a flip on
-the control mode).
+success, 1 when a verification check fails, 2 for an invalid configuration
+(including a sampled round that keeps none of its shots), 3 when the request
+is outside the protocol's domain (for example a flip on the control mode).
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import click
 
 from .errors import ConfigError, UnsupportedInputError
 from .harness import (
+    ERROR_ALIASES,
     ExperimentConfig,
     render_csv,
     resolve_config,
@@ -25,17 +26,6 @@ from .harness import (
     write_results,
 )
 from .verify import run_verify
-
-ERROR_CHOICES = (
-    "logic-bit",
-    "logic-phase",
-    "phys-bit",
-    "phys-phase",
-    "logic-bitflip",
-    "logic-phaseflip",
-    "phys-bitflip",
-    "phys-phaseflip",
-)
 
 
 def _common_options(fn):
@@ -90,7 +80,7 @@ def main() -> None:
 
 
 @main.command()
-@click.option("--error", type=click.Choice(ERROR_CHOICES), default=None,
+@click.option("--error", type=click.Choice(tuple(ERROR_ALIASES)), default=None,
               help="Error kind mixed into the input pair (default logic-bit).")
 @click.option("--fidelity", type=float, default=None,
               help="Input fidelity of each noisy pair.")
@@ -111,7 +101,7 @@ def purify(n, seed, out, config_path, error, fidelity, rounds, shots,
 
 
 @main.command()
-@click.option("--error", type=click.Choice(ERROR_CHOICES), default=None,
+@click.option("--error", type=click.Choice(tuple(ERROR_ALIASES)), default=None,
               help="Error kind mixed into the input pair (default logic-bit).")
 @click.option("--f-min", type=float, default=None, help="Grid start fidelity.")
 @click.option("--f-max", type=float, default=None, help="Grid end fidelity.")

@@ -41,13 +41,6 @@ class PauliString:
         object.__setattr__(self, "ops", ops)
 
 
-@dataclass(frozen=True)
-class MeasurementRecord:
-    label: str
-    outcome: int
-    probability: float
-
-
 def _apply_single(s: PureState, label: str, mat: np.ndarray) -> PureState:
     q = s.register.index_of(label)
     n = s.n_qubits
@@ -133,20 +126,6 @@ def project(s: PureState, label: str, outcome: int) -> tuple[float, PureState | 
     sel[q] = 1 - outcome
     arr[tuple(sel)] = 0.0
     return p, PureState(s.register, arr.reshape(-1) / np.sqrt(p))
-
-
-def measure(s: PureState, label: str) -> list[tuple[MeasurementRecord, PureState]]:
-    """Computational-basis measurement of one qubit.
-
-    Returns one entry per outcome with nonzero probability; the qubit is
-    kept in the register, projected onto the outcome.
-    """
-    results = []
-    for outcome in (0, 1):
-        p, post = project(s, label, outcome)
-        if post is not None:
-            results.append((MeasurementRecord(label, outcome, p), post))
-    return results
 
 
 def measure_ensemble(

@@ -4,39 +4,34 @@ Output rows are fully deterministic for a fixed config and seed. Monte Carlo
 randomness is counter-based: shot i of stream s draws from a Philox generator
 keyed by the seed with counter (s << 128) + (i << 64), so every shot's
 randomness is a pure function of (seed, stream, shot) regardless of execution
-order. The wall_time_ms CSV column is written as 0 to keep output files
-byte-reproducible; actual timing goes to stderr.
+order. Each shot looks its outcome up in tables built by protocol's own
+prepare, compare and lift stages, so the sampler runs the same circuit as
+the exact engine. The wall_time_ms CSV column is written as 0 to keep output
+files byte-reproducible; actual timing goes to stderr.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigError
-from .noise import ErrorKind, ErrorModel, apply_error_model
+from .noise import ErrorKind, ErrorModel
 from .protocol import (
     PurifyConfig,
     canonical_pair,
-    classify_and_route,
+    compare_copies,
     copy_modes,
     correct_physical_bitflip,
     iterate_rounds,
-    reduce_copy,
+    lift_kept,
+    prepare_copy,
+    route_noisy_pair,
 )
-from .gates import apply_cnot, apply_h, discard, project
-from .states import (
-    Ensemble,
-    PureState,
-    make_logic_bell,
-    overlap,
-    tensor,
-    with_labels,
-)
+from .states import Ensemble, map_branches
 
 CSV_COLUMNS = (
     "n",
@@ -106,23 +101,6 @@ class ResultRow:
                 str(self.seed),
                 _fmt(self.wall_time_ms),
             )
-        )
-
-    @staticmethod
-    def from_csv(line: str) -> ResultRow:
-        parts = line.strip().split(",")
-        if len(parts) != len(CSV_COLUMNS):
-            raise ValueError(f"expected {len(CSV_COLUMNS)} fields, got {len(parts)}")
-        return ResultRow(
-            n=int(parts[0]),
-            error_kind=parts[1],
-            round=int(parts[2]),
-            input_fidelity=float(parts[3]),
-            output_fidelity=float(parts[4]),
-            success_probability=float(parts[5]),
-            shots=int(parts[6]),
-            seed=int(parts[7]),
-            wall_time_ms=float(parts[8]),
         )
 
 
@@ -279,56 +257,29 @@ def _shot_tables(n: int, basis: str) -> list[tuple[np.ndarray, list[bool], list[
     """Per branch combination: outcome CDF, keep flags, kept-state fidelity.
 
     Branch combinations are indexed 2*s1 + s2 with s = 0 for the clean state
-    and 1 for the errored one. Outcomes are indexed 2*o1 + o2.
+    and 1 for the errored one. Outcomes are indexed 2*o1 + o2. Each entry is
+    one run of protocol's compare and lift stages on the two prepared copies.
     """
-    a, b = copy_modes(n, "a", "b")
-    c, d = copy_modes(n, "c", "d")
-    clean = canonical_pair(n, basis, 1.0).branches[0][1]
-    errored = canonical_pair(n, basis, 0.0).branches[0][1]
-    states = (clean, errored)
-    target = make_logic_bell(n, "phi+")
+    modes = copy_modes(n, "a", "b")
+    prepared = [
+        map_branches(
+            canonical_pair(n, basis, f), lambda s: prepare_copy(s, modes, basis)
+        )
+        for f in (1.0, 0.0)
+    ]
     tables = []
-    for s1 in (0, 1):
-        for s2 in (0, 1):
-            two = tensor(states[s1], with_labels(states[s2], c + d))
-            two = reduce_copy(reduce_copy(two, (a, b)), (c, d))
-            if basis == "phase":
-                for lab in (a[0], b[0], c[0], d[0]):
-                    two = apply_h(two, lab)
-            two = apply_cnot(two, a[0], c[0])
-            two = apply_cnot(two, b[0], d[0])
+    for first in prepared:
+        for second in prepared:
+            outcomes = compare_copies(first, second, modes)
             probs, keeps, fids = [], [], []
-            for o1 in (0, 1):
-                p1, after1 = project(two, c[0], o1)
-                for o2 in (0, 1):
-                    if after1 is None:
-                        probs.append(0.0)
-                        keeps.append(False)
-                        fids.append(0.0)
-                        continue
-                    p2, after2 = project(after1, d[0], o2)
-                    keep = o1 == o2
-                    probs.append(p1 * p2)
-                    keeps.append(keep)
-                    if keep and after2 is not None:
-                        lifted = apply_h(after2, a[0])
-                        lifted = apply_h(lifted, b[0])
-                        for k in range(1, n):
-                            lifted = apply_cnot(lifted, a[0], a[k])
-                            lifted = apply_cnot(lifted, b[0], b[k])
-                        fids.append(abs(_overlap_on_kept(lifted, target)) ** 2)
-                    else:
-                        fids.append(0.0)
+            for key in ((0, 0), (0, 1), (1, 0), (1, 1)):
+                prob, kept = outcomes.get(key, (0.0, None))
+                keep = key[0] == key[1]
+                probs.append(prob)
+                keeps.append(keep)
+                fids.append(lift_kept(kept, modes)[1] if keep and prob else 0.0)
             tables.append((np.cumsum(probs), keeps, fids))
     return tables
-
-
-def _overlap_on_kept(s: PureState, target: PureState) -> complex:
-    """Overlap with the target after dropping the measured sacrificed modes."""
-    trimmed = discard(
-        s, [lab for lab in s.register.labels if lab not in target.register.labels]
-    )
-    return overlap(target, trimmed)
 
 
 def sample_purify(
@@ -337,7 +288,8 @@ def sample_purify(
     """Monte Carlo estimate of one round's success probability and fidelity.
 
     Each shot draws both copies' branches, then the sacrificed-pair outcome,
-    and keeps the shot when the outcomes agree.
+    and keeps the shot when the outcomes agree. A round that keeps no shot
+    has no fidelity estimate and raises ConfigError.
     """
     if shots < 1:
         raise ValueError("sampling needs at least one shot")
@@ -354,9 +306,11 @@ def sample_purify(
         if keeps[outcome]:
             kept += 1
             fid_sum += fids[outcome]
-    p_hat = kept / shots
-    f_hat = fid_sum / kept if kept else math.nan
-    return SampleEstimate(p_hat, f_hat, kept, shots)
+    if not kept:
+        raise ConfigError(
+            f"no shot of {shots} was kept at n={n}, f={f}; use more shots"
+        )
+    return SampleEstimate(kept / shots, fid_sum / kept, kept, shots)
 
 
 def _purify_input(cfg: ExperimentConfig, f: float) -> tuple[str, Ensemble]:
@@ -365,10 +319,7 @@ def _purify_input(cfg: ExperimentConfig, f: float) -> tuple[str, Ensemble]:
     if cfg.error.is_physical or cfg.flip_position is not None:
         position = (cfg.flip_position - 1) if cfg.flip_position is not None else 0
     model = ErrorModel(kind=cfg.error, fidelity=f, target="B", position=position)
-    route = classify_and_route(model)
-    pair = apply_error_model(
-        Ensemble.pure(make_logic_bell(cfg.n, "phi+")), model, cfg.n
-    )
+    route, pair = route_noisy_pair(model, cfg.n)
     return route.basis, pair
 
 
@@ -443,9 +394,7 @@ def run_correct(cfg: ExperimentConfig) -> list[ResultRow]:
     model = ErrorModel(
         kind=ErrorKind.PHYS_BITFLIP, fidelity=f, target="A", position=position
     )
-    pair = apply_error_model(
-        Ensemble.pure(make_logic_bell(cfg.n, "phi+")), model, cfg.n
-    )
+    _, pair = route_noisy_pair(model, cfg.n)
     outcome = correct_physical_bitflip(
         pair, suspected_logic_qubit="A", path="qnd", flip_position=position
     )

@@ -12,6 +12,8 @@ kept modes of the first copy control CNOTs onto c1 and d1, those are
 measured, and runs with unequal outcomes are thrown away. After
 post-selection c1 and d1 are dropped as well, and the surviving 2n-mode
 states are lifted back to logic Bell pairs by the inverse of the reduction.
+These three stages are prepare_copy, compare_copies and lift_kept; the Monte
+Carlo sampler builds its outcome tables from the same functions.
 
 Bit-type errors (psi+ admixtures) purify directly. Phase-type errors (phi-
 admixtures) are first converted to bit type by Hadamards on the kept modes
@@ -216,37 +218,55 @@ def canonical_pair(n: int, basis: str, f: float) -> Ensemble:
     return Ensemble(((f, good), (1.0 - f, bad)))
 
 
+SACRIFICED = ("c1", "d1")
+
+
+def prepare_copy(s: PureState, modes: Modes, basis: str) -> PureState:
+    """Reduce one copy, check its ancillas, and turn phase errors into bit
+    errors with Hadamards on the two first modes."""
+    s = reduce_copy(s, modes)
+    _require_clear_ancillas(s, modes)
+    if basis == "phase":
+        s = apply_h(apply_h(s, modes[0][0]), modes[1][0])
+    return s
+
+
+def compare_copies(
+    first: Ensemble, second: Ensemble, modes: Modes
+) -> dict[tuple[int, ...], tuple[float, Ensemble]]:
+    """Bennett comparison of two prepared copies on the first copy's modes.
+
+    Only the second copy's two first modes join, relabelled (c1, d1); its
+    ancillas are |0> after preparation and are dropped.
+    """
+    a, b = modes
+    second = map_branches(
+        second, lambda s: with_labels(discard(s, a[1:] + b[1:]), SACRIFICED)
+    )
+    return bennett_step(tensor_ensembles(first, second), (a[0], b[0]), SACRIFICED)
+
+
+def lift_kept(kept: Ensemble, modes: Modes) -> tuple[Ensemble, float]:
+    """Drop c1 and d1, recover the logic pair, and give its fidelity to phi+."""
+    kept = map_branches(kept, lambda s: discard(s, SACRIFICED))
+    kept = recover_logic(kept, modes)
+    return kept, fidelity(kept, make_logic_bell(len(modes[0]), "phi+"))
+
+
 def _run_single_round(n: int, basis: str, pair: Ensemble) -> ProtocolOutcome:
-    a, b = copy_modes(n, "a", "b")
-    expected = a + b
+    modes = copy_modes(n, "a", "b")
+    expected = modes[0] + modes[1]
     if pair.register.labels != expected:
         raise RegisterError(
             f"input pair must live on {expected}, got {pair.register.labels}"
         )
-
-    def prepare(s: PureState) -> PureState:
-        s = reduce_copy(s, (a, b))
-        _require_clear_ancillas(s, (a, b))
-        if basis == "phase":
-            s = apply_h(apply_h(s, a[0]), b[0])
-        return s
-
-    first = map_branches(pair, prepare)
-    # The second copy is the same ensemble, so its reduction is the first
-    # copy's; its ancillas are |0> and only its first modes take part.
-    sacrificed = ("c1", "d1")
-    second = map_branches(
-        first, lambda s: with_labels(discard(s, a[1:] + b[1:]), sacrificed)
-    )
-    system = tensor_ensembles(first, second)
-    outcomes = bennett_step(system, (a[0], b[0]), sacrificed)
-    p, kept = postselect_equal(outcomes)
+    first = map_branches(pair, lambda s: prepare_copy(s, modes, basis))
+    # The second copy is the same ensemble, so its preparation is the first's.
+    p, kept = postselect_equal(compare_copies(first, first, modes))
     if p == 0.0:
         return ProtocolOutcome(0.0, kept, 0.0, 1)
-    kept = map_branches(kept, lambda s: discard(s, sacrificed))
-    kept = recover_logic(kept, (a, b))
-    target = make_logic_bell(n, "phi+")
-    return ProtocolOutcome(p, kept, fidelity(kept, target), 1)
+    kept, fid = lift_kept(kept, modes)
+    return ProtocolOutcome(p, kept, fid, 1)
 
 
 def iterate_rounds(
@@ -368,14 +388,17 @@ def classify_and_route(model: ErrorModel) -> Route:
     return Route("purify", "bit")
 
 
+def route_noisy_pair(model: ErrorModel, n: int) -> tuple[Route, Ensemble]:
+    """The model's route and a fresh phi+ pair with the model applied."""
+    pair = apply_error_model(Ensemble.pure(make_logic_bell(n, "phi+")), model, n)
+    return classify_and_route(model), pair
+
+
 def run_routed(
     model: ErrorModel, n: int, rounds: int = 1, path: str = "qnd"
 ) -> ProtocolOutcome:
     """Apply the model to a fresh phi+ pair and run its routed procedure."""
-    route = classify_and_route(model)
-    pair = apply_error_model(
-        Ensemble.pure(make_logic_bell(n, "phi+")), model, n
-    )
+    route, pair = route_noisy_pair(model, n)
     if route.procedure == "correct":
         return correct_physical_bitflip(
             pair,

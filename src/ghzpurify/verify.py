@@ -29,6 +29,8 @@ from .protocol import (
 )
 from .states import (
     BELL_KINDS,
+    EXACT_TOL,
+    ORACLE_TOL,
     Ensemble,
     PureState,
     Register,
@@ -41,8 +43,6 @@ from .states import (
 )
 
 VERIFY_SEED = 20240917
-ORACLE_TOL = 1e-10
-EXACT_TOL = 1e-12
 
 
 @dataclass(frozen=True)

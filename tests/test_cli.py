@@ -107,6 +107,21 @@ def test_out_writes_files(runner, tmp_path):
     assert (tmp_path / "rows.json").exists()
 
 
+def test_sampled_round_with_no_kept_shot_exits_2(runner, tmp_path):
+    args = [
+        "purify", "--n", "2", "--error", "logic-bit", "--fidelity", "0.5",
+        "--shots", "1", "--rounds", "3", "--seed", "3",
+    ]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert "n=2" in result.stderr and "of 1 " in result.stderr
+    out = tmp_path / "rows.csv"
+    result = runner.invoke(main, args + ["--out", str(out)])
+    assert result.exit_code == 2
+    assert not out.exists() and not (tmp_path / "rows.json").exists()
+
+
 def test_sampled_runs_are_byte_identical(runner, tmp_path):
     args = [
         "sweep", "--f-min", "0.6", "--f-max", "0.8", "--steps", "3",

@@ -11,7 +11,6 @@ from ghzpurify.gates import (
     apply_x,
     apply_z,
     discard,
-    measure,
     measure_ensemble,
     outcome_probability,
     project,
@@ -145,20 +144,6 @@ def test_project_impossible_outcome():
     s = basis_state(Register(("q1",)), "0")
     p, post = project(s, "q1", 1)
     assert p == 0.0 and post is None
-
-
-def test_measure_returns_both_branches():
-    results = measure(make_bell("phi+"), "q2")
-    assert len(results) == 2
-    for record, post in results:
-        assert record.probability == pytest.approx(0.5)
-        assert post.amplitude([record.outcome, record.outcome]) == pytest.approx(1.0)
-
-
-def test_measure_correlations_are_perfect():
-    # measuring one side of phi+ pins the other
-    for record, post in measure(make_bell("phi+"), "q1"):
-        assert outcome_probability(post, "q2", record.outcome) == pytest.approx(1.0)
 
 
 def test_measure_ensemble_probabilities():

@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from ghzpurify.errors import ConfigError
@@ -8,6 +9,7 @@ from ghzpurify.harness import (
     CSV_COLUMNS,
     ExperimentConfig,
     ResultRow,
+    _shot_tables,
     parse_config_file,
     render_csv,
     resolve_config,
@@ -20,37 +22,13 @@ from ghzpurify.harness import (
 )
 from ghzpurify.noise import ErrorKind
 from ghzpurify.protocol import one_round_fidelity_map, one_round_success_probability
+from ghzpurify.states import EXACT_TOL
 
 
 def _purify_cfg(**overrides):
     base = dict(mode="purify", n=2, fidelity=0.8)
     base.update(overrides)
     return ExperimentConfig(**base)
-
-
-def test_result_row_csv_roundtrip():
-    row = ResultRow(
-        n=3,
-        error_kind="logic-bitflip",
-        round=2,
-        input_fidelity=0.8,
-        output_fidelity=16 / 17,
-        success_probability=0.68,
-        shots=1000,
-        seed=42,
-    )
-    back = ResultRow.from_csv(row.to_csv())
-    assert (back.n, back.error_kind, back.round) == (3, "logic-bitflip", 2)
-    assert (back.shots, back.seed) == (1000, 42)
-    # floats are written with 12 significant digits
-    assert back.input_fidelity == row.input_fidelity
-    assert back.output_fidelity == pytest.approx(row.output_fidelity, abs=1e-12)
-    assert back.success_probability == pytest.approx(0.68, abs=1e-12)
-
-
-def test_result_row_rejects_malformed_line():
-    with pytest.raises(ValueError):
-        ResultRow.from_csv("1,2,3")
 
 
 def test_render_csv_layout():
@@ -267,6 +245,27 @@ def test_sample_purify_tracks_exact_values(basis):
     se_f = math.sqrt(fid * (1 - fid) / kept)
     assert abs(est.fidelity - fid) < 4 * se_f
     assert est.kept_shots == round(est.success_probability * shots)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("basis", ["bit", "phase"])
+def test_shot_tables_and_sampler_at_block_size(n, basis):
+    # branch pairs are indexed 2*s1 + s2, s = 0 clean and 1 errored
+    for index, (cdf, keeps, fids) in enumerate(_shot_tables(n, basis)):
+        probs = np.diff(cdf, prepend=0.0)
+        kept = sum(p for p, keep in zip(probs, keeps) if keep)
+        s1, s2 = divmod(index, 2)
+        assert abs(kept - (1.0 if s1 == s2 else 0.0)) < EXACT_TOL
+        if s1 == s2:
+            for p, keep, fid in zip(probs, keeps, fids):
+                if keep and p > 0.0:
+                    assert abs(fid - (1.0 - s1)) < EXACT_TOL
+    shots, f = 4000, 0.8
+    est = sample_purify(n, basis, f, shots=shots, seed=29)
+    p = one_round_success_probability(f)
+    assert abs(est.success_probability - p) < 5 * math.sqrt(p * (1 - p) / shots)
+    fid = one_round_fidelity_map(f)
+    assert abs(est.fidelity - fid) < 5 * math.sqrt(fid * (1 - fid) / est.kept_shots)
 
 
 def test_sample_purify_pure_limits():
