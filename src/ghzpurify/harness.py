@@ -1,13 +1,19 @@
 """Experiment harness: configs, parameter sweeps, sampling, CSV output.
 
 Output rows are fully deterministic for a fixed config and seed. Monte Carlo
-randomness is counter-based: shot i of stream s draws from a Philox generator
-keyed by the seed with counter (s << 128) + (i << 64), so every shot's
-randomness is a pure function of (seed, stream, shot) regardless of execution
-order. Each shot looks its outcome up in tables built by protocol's own
-prepare, compare and lift stages, so the sampler runs the same circuit as
-the exact engine. The wall_time_ms CSV column is written as 0 to keep output
-files byte-reproducible; actual timing goes to stderr.
+randomness is counter-based: shot i of stream s draws from a Philox4x64-10
+generator keyed by the seed with counter (s << 128) + (i << 64), so every
+shot's randomness is a pure function of (seed, stream, shot) regardless of
+execution order. numpy's Philox bumps the counter before its first block, so
+a shot's three uniforms come from the one block with counter words
+(1, i, s mod 2**64, s >> 64) and key words (seed mod 2**64, seed >> 64); the
+uniform from output word w is (w >> 11) * 2**-53. `sample_purify` evaluates
+that block for a chunk of shots at once in numpy, reproducing `shot_rng`
+bit for bit, so seed and stream must lie in [0, 2**128). Each shot looks
+its outcome up in tables built by protocol's own prepare, compare and lift
+stages, so the sampler runs the same circuit as the exact engine. The
+wall_time_ms CSV column is written as 0 to keep output files
+byte-reproducible; actual timing goes to stderr.
 """
 
 from __future__ import annotations
@@ -53,6 +59,17 @@ ERROR_ALIASES = {
 }
 for _kind in ErrorKind:
     ERROR_ALIASES[_kind.value] = _kind
+
+# Philox4x64-10 (Salmon et al., SC'11) as numpy's Philox runs it: the seed
+# fills the two key words and the stream two counter words, so both must be
+# below _KEY_LIMIT. Shots are drawn in chunks of _SHOT_CHUNK so that the
+# uint64 temporaries stay small.
+_KEY_LIMIT = 1 << 128
+_MASK64 = (1 << 64) - 1
+_PHILOX_ROUNDS = 10
+_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+_SHOT_CHUNK = 4096
 
 _CONFIG_KEYS = {
     "n": int,
@@ -149,6 +166,10 @@ class ExperimentConfig:
             raise ConfigError(f"shots must be non-negative, got {self.shots}")
         if self.seed < 0:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
+        if self.shots > 0 and self.seed >= _KEY_LIMIT:
+            raise ConfigError(
+                f"seed {self.seed} is too large: sampled runs need a seed below 2**128"
+            )
         if self.fidelity is not None and not 0.0 <= self.fidelity <= 1.0:
             raise ConfigError(f"fidelity {self.fidelity} outside [0, 1]")
         if self.mode == "purify":
@@ -282,6 +303,43 @@ def _shot_tables(n: int, basis: str) -> list[tuple[np.ndarray, list[bool], list[
     return tables
 
 
+def _mulhilo(a: int, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """High and low 64-bit words of the 128-bit products a * b."""
+    low32, shift = np.uint64(0xFFFFFFFF), np.uint64(32)
+    a_lo, a_hi = np.uint64(a & 0xFFFFFFFF), np.uint64(a >> 32)
+    b_lo, b_hi = b & low32, b >> shift
+    lh, hl = a_lo * b_hi, a_hi * b_lo
+    mid = (a_lo * b_lo >> shift) + (lh & low32) + (hl & low32)
+    hi = a_hi * b_hi + (lh >> shift) + (hl >> shift) + (mid >> shift)
+    return hi, np.uint64(a) * b
+
+
+def _shot_uniforms(seed: int, stream: int, first: int, count: int) -> np.ndarray:
+    """Uniforms of shots first .. first + count - 1, shape (3, count).
+
+    Column k equals shot_rng(seed, stream, first + k).random(3); see the
+    module docstring for the counter and key layout.
+    """
+    ctr = [
+        np.ones(count, np.uint64),
+        np.arange(first, first + count, dtype=np.uint64),
+        np.full(count, stream & _MASK64, np.uint64),
+        np.full(count, stream >> 64, np.uint64),
+    ]
+    key = [seed & _MASK64, seed >> 64]
+    for _ in range(_PHILOX_ROUNDS):
+        hi0, lo0 = _mulhilo(_PHILOX_M[0], ctr[0])
+        hi1, lo1 = _mulhilo(_PHILOX_M[1], ctr[2])
+        ctr = [
+            hi1 ^ ctr[1] ^ np.uint64(key[0]),
+            lo1,
+            hi0 ^ ctr[3] ^ np.uint64(key[1]),
+            lo0,
+        ]
+        key = [(k + w) & _MASK64 for k, w in zip(key, _PHILOX_W)]
+    return (np.stack(ctr[:3]) >> np.uint64(11)) * 2.0**-53
+
+
 def sample_purify(
     n: int, basis: str, f: float, shots: int, seed: int, stream: int = 0
 ) -> SampleEstimate:
@@ -293,19 +351,29 @@ def sample_purify(
     """
     if shots < 1:
         raise ValueError("sampling needs at least one shot")
+    for name, value in (("seed", seed), ("stream", stream)):
+        if not 0 <= value < _KEY_LIMIT:
+            raise ValueError(f"{name} must lie in [0, 2**128), got {value}")
     tables = _shot_tables(n, basis)
+    cdfs = np.array([cdf for cdf, _, _ in tables])
+    keeps = np.array([keep for _, keep, _ in tables])
+    fids = np.array([fid for _, _, fid in tables])
     kept = 0
     fid_sum = 0.0
-    for i in range(shots):
-        u = shot_rng(seed, stream, i).random(3)
-        s1 = 0 if u[0] < f else 1
-        s2 = 0 if u[1] < f else 1
-        cdf, keeps, fids = tables[2 * s1 + s2]
-        outcome = int(np.searchsorted(cdf, u[2] * cdf[-1], side="right"))
-        outcome = min(outcome, 3)
-        if keeps[outcome]:
-            kept += 1
-            fid_sum += fids[outcome]
+    for first in range(0, shots, _SHOT_CHUNK):
+        u = _shot_uniforms(seed, stream, first, min(_SHOT_CHUNK, shots - first))
+        branch = 2 * (u[0] >= f) + (u[1] >= f)
+        cdf = cdfs[branch]
+        # per shot, searchsorted(cdf, u2 * cdf[-1], side="right")
+        outcome = (cdf <= (u[2] * cdf[:, -1])[:, None]).sum(axis=1)
+        outcome = np.minimum(outcome, 3)
+        keep = keeps[branch, outcome]
+        kept += int(keep.sum())
+        # a left-to-right running sum in shot order; np.sum adds pairwise,
+        # which can change the last bit and tie it to the chunk size
+        fid_sum = float(
+            np.add.accumulate(np.append(fid_sum, fids[branch, outcome][keep]))[-1]
+        )
     if not kept:
         raise ConfigError(
             f"no shot of {shots} was kept at n={n}, f={f}; use more shots"

@@ -122,6 +122,19 @@ def test_sampled_round_with_no_kept_shot_exits_2(runner, tmp_path):
     assert not out.exists() and not (tmp_path / "rows.json").exists()
 
 
+def test_sampled_seed_past_the_philox_key_exits_2(runner):
+    seed = str(2**128)
+    args = [
+        "purify", "--n", "2", "--error", "logic-bit", "--fidelity", "0.8",
+        "--shots", "10", "--seed", seed,
+    ]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert f"seed {seed} is too large" in result.stderr
+    assert "below 2**128" in result.stderr
+
+
 def test_sampled_runs_are_byte_identical(runner, tmp_path):
     args = [
         "sweep", "--f-min", "0.6", "--f-max", "0.8", "--steps", "3",

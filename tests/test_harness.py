@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -9,7 +10,9 @@ from ghzpurify.harness import (
     CSV_COLUMNS,
     ExperimentConfig,
     ResultRow,
+    _SHOT_CHUNK,
     _shot_tables,
+    _shot_uniforms,
     parse_config_file,
     render_csv,
     resolve_config,
@@ -61,7 +64,11 @@ def test_config_validation_messages():
         _purify_cfg(error=ErrorKind.PHYS_BITFLIP).validate()
     with pytest.raises(ConfigError):
         ExperimentConfig(mode="warp", n=2).validate()
+    with pytest.raises(ConfigError, match=f"seed {2**128} is too large"):
+        _purify_cfg(shots=10, seed=2**128).validate()
     _purify_cfg().validate()
+    _purify_cfg(shots=10, seed=2**128 - 1).validate()
+    _purify_cfg(shots=0, seed=2**128).validate()
 
 
 def test_sweep_config_validation():
@@ -232,6 +239,51 @@ def test_sample_purify_needs_shots():
         sample_purify(2, "bit", 0.8, shots=0, seed=1)
 
 
+@pytest.mark.parametrize(
+    "seed, stream",
+    [(-1, 0), (2**128, 0), (0, -1), (0, 2**128)],
+)
+def test_sample_purify_refuses_keys_outside_128_bits(seed, stream):
+    with pytest.raises(ValueError, match=r"\[0, 2\*\*128\)"):
+        sample_purify(2, "bit", 0.8, shots=10, seed=seed, stream=stream)
+
+
+@pytest.mark.parametrize("seed", [0, 5, 2**32 - 1, 2**64 + 5, 2**128 - 1])
+@pytest.mark.parametrize("stream", [0, 1, 2**70 + 3])
+def test_shot_uniforms_match_shot_rng_bit_for_bit(seed, stream):
+    want = np.array(
+        [shot_rng(seed, stream, i).random(3) for i in range(_SHOT_CHUNK + 1)]
+    ).T
+    for count in (_SHOT_CHUNK - 1, _SHOT_CHUNK, _SHOT_CHUNK + 1):
+        assert np.array_equal(_shot_uniforms(seed, stream, 0, count), want[:, :count])
+    assert np.array_equal(_shot_uniforms(seed, stream, _SHOT_CHUNK, 1), want[:, -1:])
+
+
+def _reference_sample(n, basis, f, shots, seed, stream):
+    """The per-shot loop the vectorized sampler must reproduce exactly."""
+    tables = _shot_tables(n, basis)
+    kept, fid_sum = 0, 0.0
+    for i in range(shots):
+        u = shot_rng(seed, stream, i).random(3)
+        s1 = 0 if u[0] < f else 1
+        s2 = 0 if u[1] < f else 1
+        cdf, keeps, fids = tables[2 * s1 + s2]
+        outcome = min(int(np.searchsorted(cdf, u[2] * cdf[-1], side="right")), 3)
+        if keeps[outcome]:
+            kept += 1
+            fid_sum += fids[outcome]
+    return kept / shots, fid_sum / kept, kept, shots
+
+
+@pytest.mark.parametrize("shots", [_SHOT_CHUNK - 1, _SHOT_CHUNK, _SHOT_CHUNK + 1])
+def test_sample_purify_equals_per_shot_loop_at_chunk_edges(shots):
+    seed, stream = 2**64 + 5, 2**70 + 3
+    est = sample_purify(3, "phase", 0.7, shots=shots, seed=seed, stream=stream)
+    got = (est.success_probability, est.fidelity, est.kept_shots, est.shots)
+    assert got == _reference_sample(3, "phase", 0.7, shots, seed, stream)
+    assert [type(x) for x in got] == [float, float, int, int]
+
+
 @pytest.mark.parametrize("basis", ["bit", "phase"])
 def test_sample_purify_tracks_exact_values(basis):
     shots = 40000
@@ -287,6 +339,28 @@ def test_sampled_sweep_rows_are_reproducible():
     assert all(r.shots == 300 for r in rows1)
     # distinct streams per (grid point, round): rows differ in general
     assert rows1[1].input_fidelity == rows1[0].output_fidelity
+
+
+@pytest.mark.parametrize(
+    "flags, digest",
+    [
+        (
+            {"n": 2, "error": "logic-bit", "fidelity": 0.8, "shots": 20000,
+             "rounds": 2, "seed": 2026},
+            "e6a16fd067a0b89bb81c268d5c16b8f6850815cc47b3aabe803a77b6e1c597c8",
+        ),
+        (
+            {"n": 3, "error": "logic-phase", "fidelity": 0.7, "shots": 4097,
+             "rounds": 2, "seed": 2**64 + 5},
+            "1b90ee666ea5ecf9df6b1ca0491db10241a352c2ea88edd5f9a4234644df1c7d",
+        ),
+    ],
+    ids=["n2-bit", "n3-phase-seed-past-64-bits"],
+)
+def test_sampled_csv_bytes_match_pinned_digests(flags, digest):
+    # pinned from the per-shot shot_rng sampler: any change to the draws shows
+    csv = render_csv(run_purify(resolve_config("purify", flags, None)))
+    assert hashlib.sha256(csv.encode()).hexdigest() == digest
 
 
 def test_csv_bytes_identical_across_processes(tmp_path):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ghzpurify.errors import RegisterError
 from ghzpurify.gates import apply_circuit, project
@@ -11,10 +13,12 @@ from ghzpurify.oracle import (
 )
 from ghzpurify.protocol import PurifyConfig, purify_round
 from ghzpurify.states import (
+    ORACLE_TOL,
     Ensemble,
     PureState,
     Register,
     make_logic_bell,
+    map_branches,
     to_density_matrix,
 )
 
@@ -63,6 +67,33 @@ def test_evolution_preserves_mixtures():
         ((0.3, apply_circuit(s1, ops)), (0.7, apply_circuit(s2, ops)))
     )
     assert compare(branches, evolved) < 1e-12
+
+
+@st.composite
+def _ensemble_and_circuit(draw):
+    n = draw(st.integers(1, 6))
+    labels = tuple(f"q{k}" for k in range(1, n + 1))
+    gate = st.tuples(st.sampled_from(("h", "x", "z")), st.sampled_from(labels))
+    if n > 1:
+        gate = gate | st.permutations(labels).map(lambda p: ("cnot", p[0], p[1]))
+    ops = draw(st.lists(gate, min_size=1, max_size=32))
+    weights = draw(st.lists(st.floats(0.05, 1.0), min_size=1, max_size=3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    total = sum(weights)
+    ensemble = Ensemble(
+        tuple((w / total, _random_state(rng, labels)) for w in weights)
+    )
+    return ensemble, ops
+
+
+@settings(max_examples=300, deadline=None)
+@given(_ensemble_and_circuit())
+def test_engines_agree_on_random_circuits(case):
+    # the branch engine per branch against conjugation of the dense matrix
+    ensemble, ops = case
+    branches = map_branches(ensemble, lambda s: apply_circuit(s, ops))
+    evolved = evolve_density(to_density_matrix(ensemble), ops)
+    assert compare(branches, evolved) < ORACLE_TOL
 
 
 def test_evolve_rejects_unknown_op():
