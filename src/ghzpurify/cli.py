@@ -3,8 +3,9 @@
 Result tables go to stdout (or --out) as CSV and are byte-identical for a
 fixed config and seed; progress and timing go to stderr. Exit codes: 0 on
 success, 1 when a verification check fails, 2 for an invalid configuration
-(including a sampled round that keeps none of its shots), 3 when the request
-is outside the protocol's domain (for example a flip on the control mode).
+(including a flip position outside 1..n and a sampled round that keeps none
+of its shots), 3 when the request is outside the protocol's domain (for
+example a flip on the control mode).
 """
 
 from __future__ import annotations
@@ -39,6 +40,21 @@ def _common_options(fn):
     return fn
 
 
+_error_option = click.option(
+    "--error", type=click.Choice(tuple(ERROR_ALIASES)), default=None,
+    help="Error kind mixed into the input pair (default logic-bit).")
+
+
+def _round_options(fn):
+    """--rounds, --shots and --flip-position, shared by purify and sweep."""
+    fn = click.option("--flip-position", type=int, default=None, metavar="K",
+                      help="1-based mode the physical error sits on (phys kinds).")(fn)
+    fn = click.option("--shots", type=int, default=None,
+                      help="Monte Carlo shots per round; 0 (default) runs exactly.")(fn)
+    fn = click.option("--rounds", type=int, default=None, help="Purification rounds.")(fn)
+    return fn
+
+
 def _finish(cfg: ExperimentConfig, rows, started: float) -> None:
     csv_text = render_csv(rows)
     if cfg.out:
@@ -50,8 +66,9 @@ def _finish(cfg: ExperimentConfig, rows, started: float) -> None:
     click.echo(f"done in {elapsed_ms:.1f} ms", err=True)
 
 
-def _run(mode: str, config_path: str | None, flag_values: dict) -> None:
+def _run(mode: str, config_path: str | None, flags: dict) -> None:
     started = time.perf_counter()
+    flag_values = {key.replace("_", "-"): val for key, val in flags.items()}
     try:
         cfg = resolve_config(mode, flag_values, config_path)
         if mode == "purify":
@@ -80,46 +97,26 @@ def main() -> None:
 
 
 @main.command()
-@click.option("--error", type=click.Choice(tuple(ERROR_ALIASES)), default=None,
-              help="Error kind mixed into the input pair (default logic-bit).")
+@_error_option
 @click.option("--fidelity", type=float, default=None,
               help="Input fidelity of each noisy pair.")
-@click.option("--rounds", type=int, default=None, help="Purification rounds.")
-@click.option("--shots", type=int, default=None,
-              help="Monte Carlo shots per round; 0 (default) runs exactly.")
-@click.option("--flip-position", type=int, default=None, metavar="K",
-              help="1-based mode the physical error sits on (phys kinds).")
+@_round_options
 @_common_options
-def purify(n, seed, out, config_path, error, fidelity, rounds, shots,
-           flip_position) -> None:
+def purify(config_path, **flags) -> None:
     """Purify a noisy logic Bell pair at one input fidelity."""
-    _run("purify", config_path, {
-        "n": n, "seed": seed, "out": out, "error": error,
-        "fidelity": fidelity, "rounds": rounds, "shots": shots,
-        "flip-position": flip_position,
-    })
+    _run("purify", config_path, flags)
 
 
 @main.command()
-@click.option("--error", type=click.Choice(tuple(ERROR_ALIASES)), default=None,
-              help="Error kind mixed into the input pair (default logic-bit).")
+@_error_option
 @click.option("--f-min", type=float, default=None, help="Grid start fidelity.")
 @click.option("--f-max", type=float, default=None, help="Grid end fidelity.")
 @click.option("--steps", type=int, default=None, help="Number of grid points.")
-@click.option("--rounds", type=int, default=None, help="Purification rounds.")
-@click.option("--shots", type=int, default=None,
-              help="Monte Carlo shots per round; 0 (default) runs exactly.")
-@click.option("--flip-position", type=int, default=None, metavar="K",
-              help="1-based mode the physical error sits on (phys kinds).")
+@_round_options
 @_common_options
-def sweep(n, seed, out, config_path, error, f_min, f_max, steps, rounds,
-          shots, flip_position) -> None:
+def sweep(config_path, **flags) -> None:
     """Sweep input fidelity over a uniform grid."""
-    _run("sweep", config_path, {
-        "n": n, "seed": seed, "out": out, "error": error,
-        "f-min": f_min, "f-max": f_max, "steps": steps, "rounds": rounds,
-        "shots": shots, "flip-position": flip_position,
-    })
+    _run("sweep", config_path, flags)
 
 
 @main.command()
@@ -128,12 +125,9 @@ def sweep(n, seed, out, config_path, error, f_min, f_max, steps, rounds,
 @click.option("--fidelity", type=float, default=None,
               help="Optional mixture weight of the clean pair (default 0).")
 @_common_options
-def correct(n, seed, out, config_path, flip_position, fidelity) -> None:
+def correct(config_path, **flags) -> None:
     """Correct a single physical bit flip inside one logic qubit."""
-    _run("correct", config_path, {
-        "n": n, "seed": seed, "out": out, "error": "phys-bit",
-        "flip-position": flip_position, "fidelity": fidelity,
-    })
+    _run("correct", config_path, {**flags, "error": "phys-bit"})
 
 
 @main.command()

@@ -11,13 +11,15 @@ uniform from output word w is (w >> 11) * 2**-53. `sample_purify` evaluates
 that block for a chunk of shots at once in numpy, reproducing `shot_rng`
 bit for bit, so seed and stream must lie in [0, 2**128). Each shot looks
 its outcome up in tables built by protocol's own prepare, compare and lift
-stages, so the sampler runs the same circuit as the exact engine. The
-wall_time_ms CSV column is written as 0 to keep output files
-byte-reproducible; actual timing goes to stderr.
+stages, so the sampler runs the same circuit as the exact engine; the
+tables depend only on (n, basis) and are built once each. The wall_time_ms
+CSV column is written as 0 to keep output files byte-reproducible; actual
+timing goes to stderr.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -81,7 +83,6 @@ _CONFIG_KEYS = {
     "rounds": int,
     "shots": int,
     "seed": int,
-    "oracle": bool,
     "out": str,
     "flip-position": int,
 }
@@ -103,7 +104,6 @@ class ResultRow:
     success_probability: float
     shots: int
     seed: int
-    wall_time_ms: float = 0.0
 
     def to_csv(self) -> str:
         return ",".join(
@@ -116,7 +116,7 @@ class ResultRow:
                 _fmt(self.success_probability),
                 str(self.shots),
                 str(self.seed),
-                _fmt(self.wall_time_ms),
+                "0",
             )
         )
 
@@ -151,12 +151,11 @@ class ExperimentConfig:
     rounds: int = 1
     shots: int = 0
     seed: int = 0
-    oracle: bool = False
     out: str | None = None
     flip_position: int | None = None
 
     def validate(self) -> None:
-        if self.mode not in ("purify", "sweep", "correct", "verify"):
+        if self.mode not in ("purify", "sweep", "correct"):
             raise ConfigError(f"unknown mode {self.mode!r}")
         if self.n < 2:
             raise ConfigError(f"n must be at least 2, got {self.n}")
@@ -172,11 +171,8 @@ class ExperimentConfig:
             )
         if self.fidelity is not None and not 0.0 <= self.fidelity <= 1.0:
             raise ConfigError(f"fidelity {self.fidelity} outside [0, 1]")
-        if self.mode == "purify":
-            if self.fidelity is None:
-                raise ConfigError("purify needs --fidelity")
-            if self.error is ErrorKind.PHYS_BITFLIP:
-                raise ConfigError("phys-bit is handled by the correct command")
+        if self.mode == "purify" and self.fidelity is None:
+            raise ConfigError("purify needs --fidelity")
         if self.mode == "sweep":
             if self.f_min is None or self.f_max is None or self.steps is None:
                 raise ConfigError("sweep needs --f-min, --f-max and --steps")
@@ -186,19 +182,17 @@ class ExperimentConfig:
                 )
             if self.steps < 1:
                 raise ConfigError(f"steps must be at least 1, got {self.steps}")
-            if self.error is ErrorKind.PHYS_BITFLIP:
-                raise ConfigError("phys-bit is handled by the correct command")
         if self.mode == "correct":
             if self.flip_position is None:
                 raise ConfigError("correct needs --flip-position")
             if self.error is not ErrorKind.PHYS_BITFLIP:
                 raise ConfigError("correct only handles phys-bit errors")
-            if not 1 <= self.flip_position <= self.n:
-                raise ConfigError(
-                    f"flip-position must name a mode 1..{self.n}, got {self.flip_position}"
-                )
-        if self.flip_position is not None and self.flip_position > self.n:
-            raise ConfigError(f"flip-position {self.flip_position} exceeds n={self.n}")
+        elif self.error is ErrorKind.PHYS_BITFLIP:
+            raise ConfigError("phys-bit is handled by the correct command")
+        if self.flip_position is not None and not 1 <= self.flip_position <= self.n:
+            raise ConfigError(
+                f"flip-position must name a mode 1..{self.n}, got {self.flip_position}"
+            )
 
     def as_dict(self) -> dict:
         d = {}
@@ -221,20 +215,10 @@ def parse_config_file(path: str) -> dict:
         key, val = key.strip(), val.strip()
         if key not in _CONFIG_KEYS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-        caster = _CONFIG_KEYS[key]
         try:
-            if caster is bool:
-                if val.lower() in ("1", "true", "yes", "on"):
-                    parsed = True
-                elif val.lower() in ("0", "false", "no", "off"):
-                    parsed = False
-                else:
-                    raise ValueError(val)
-            else:
-                parsed = caster(val)
+            values[key] = _CONFIG_KEYS[key](val)
         except ValueError:
             raise ConfigError(f"{path}:{lineno}: bad value {val!r} for {key}") from None
-        values[key] = parsed
     return values
 
 
@@ -274,12 +258,17 @@ class SampleEstimate:
     shots: int
 
 
-def _shot_tables(n: int, basis: str) -> list[tuple[np.ndarray, list[bool], list[float]]]:
+@functools.cache
+def _shot_tables(
+    n: int, basis: str
+) -> tuple[tuple[np.ndarray, tuple[bool, ...], tuple[float, ...]], ...]:
     """Per branch combination: outcome CDF, keep flags, kept-state fidelity.
 
     Branch combinations are indexed 2*s1 + s2 with s = 0 for the clean state
     and 1 for the errored one. Outcomes are indexed 2*o1 + o2. Each entry is
     one run of protocol's compare and lift stages on the two prepared copies.
+    The tables are cached per (n, basis), so they are immutable: tuples and
+    read-only CDF arrays.
     """
     modes = copy_modes(n, "a", "b")
     prepared = [
@@ -299,8 +288,10 @@ def _shot_tables(n: int, basis: str) -> list[tuple[np.ndarray, list[bool], list[
                 probs.append(prob)
                 keeps.append(keep)
                 fids.append(lift_kept(kept, modes)[1] if keep and prob else 0.0)
-            tables.append((np.cumsum(probs), keeps, fids))
-    return tables
+            cdf = np.cumsum(probs)
+            cdf.flags.writeable = False
+            tables.append((cdf, tuple(keeps), tuple(fids)))
+    return tuple(tables)
 
 
 def _mulhilo(a: int, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -400,53 +391,44 @@ def run_sweep(cfg: ExperimentConfig) -> list[ResultRow]:
     return _sweep_rows(cfg, grid)
 
 
+def _row(
+    cfg: ExperimentConfig, r: int, f_in: float, f_out: float, p: float, shots: int
+) -> ResultRow:
+    return ResultRow(cfg.n, cfg.error.value, r, f_in, f_out, p, shots, cfg.seed)
+
+
+def _sampled_rounds(cfg: ExperimentConfig, basis: str, f: float, stream: int):
+    """(fidelity, success) of each sampled round, one Philox stream per round."""
+    for r in range(cfg.rounds):
+        est = sample_purify(
+            cfg.n, basis if r == 0 else "bit", f, cfg.shots, cfg.seed, stream + r
+        )
+        f = est.fidelity
+        yield est.fidelity, est.success_probability
+
+
 def _sweep_rows(cfg: ExperimentConfig, grid: list[float]) -> list[ResultRow]:
+    """Rows of every round at every grid point; exact when shots is 0.
+
+    Grid point i samples its rounds on streams i*rounds .. i*rounds + rounds - 1.
+    """
     rows: list[ResultRow] = []
-    stream = 0
-    for f in grid:
+    for i, f in enumerate(grid):
+        basis, pair = _purify_input(cfg, f)
         if cfg.shots == 0:
-            basis, pair = _purify_input(cfg, f)
             pcfg = PurifyConfig(
                 n=cfg.n, error_basis=basis, input_fidelity=f, rounds=cfg.rounds
             )
-            outs = iterate_rounds(pcfg, input_pair=pair)
-            f_in = f
-            for r, out in enumerate(outs, start=1):
-                rows.append(
-                    ResultRow(
-                        n=cfg.n,
-                        error_kind=cfg.error.value,
-                        round=r,
-                        input_fidelity=f_in,
-                        output_fidelity=out.fidelity,
-                        success_probability=out.success_probability,
-                        shots=0,
-                        seed=cfg.seed,
-                    )
-                )
-                f_in = out.fidelity
+            rounds = (
+                (out.fidelity, out.success_probability)
+                for out in iterate_rounds(pcfg, input_pair=pair)
+            )
         else:
-            basis, _ = _purify_input(cfg, f)
-            f_in = f
-            for r in range(1, cfg.rounds + 1):
-                round_basis = basis if r == 1 else "bit"
-                est = sample_purify(
-                    cfg.n, round_basis, f_in, cfg.shots, cfg.seed, stream
-                )
-                stream += 1
-                rows.append(
-                    ResultRow(
-                        n=cfg.n,
-                        error_kind=cfg.error.value,
-                        round=r,
-                        input_fidelity=f_in,
-                        output_fidelity=est.fidelity,
-                        success_probability=est.success_probability,
-                        shots=cfg.shots,
-                        seed=cfg.seed,
-                    )
-                )
-                f_in = est.fidelity
+            rounds = _sampled_rounds(cfg, basis, f, i * cfg.rounds)
+        f_in = f
+        for r, (f_out, p) in enumerate(rounds, start=1):
+            rows.append(_row(cfg, r, f_in, f_out, p, cfg.shots))
+            f_in = f_out
     return rows
 
 
@@ -466,14 +448,4 @@ def run_correct(cfg: ExperimentConfig) -> list[ResultRow]:
     outcome = correct_physical_bitflip(
         pair, suspected_logic_qubit="A", path="qnd", flip_position=position
     )
-    row = ResultRow(
-        n=cfg.n,
-        error_kind=cfg.error.value,
-        round=1,
-        input_fidelity=f,
-        output_fidelity=outcome.fidelity,
-        success_probability=outcome.success_probability,
-        shots=0,
-        seed=cfg.seed,
-    )
-    return [row]
+    return [_row(cfg, 1, f, outcome.fidelity, outcome.success_probability, 0)]

@@ -56,23 +56,6 @@ class ErrorModel:
             if self.position < 0:
                 raise ValueError(f"position must be non-negative, got {self.position}")
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind.value,
-            "fidelity": self.fidelity,
-            "target": self.target,
-            "position": self.position,
-        }
-
-    @staticmethod
-    def from_dict(d: dict) -> ErrorModel:
-        return ErrorModel(
-            kind=ErrorKind(d["kind"]),
-            fidelity=float(d["fidelity"]),
-            target=d.get("target", "B"),
-            position=d.get("position"),
-        )
-
 
 def _target_labels(model: ErrorModel, n: int, prefixes: tuple[str, str]) -> list[str]:
     prefix = prefixes[0] if model.target == "A" else prefixes[1]

@@ -202,7 +202,6 @@ class ProtocolOutcome:
     success_probability: float
     output: Ensemble
     fidelity: float
-    rounds_used: int
 
 
 def canonical_pair(n: int, basis: str, f: float) -> Ensemble:
@@ -264,9 +263,9 @@ def _run_single_round(n: int, basis: str, pair: Ensemble) -> ProtocolOutcome:
     # The second copy is the same ensemble, so its preparation is the first's.
     p, kept = postselect_equal(compare_copies(first, first, modes))
     if p == 0.0:
-        return ProtocolOutcome(0.0, kept, 0.0, 1)
+        return ProtocolOutcome(0.0, kept, 0.0)
     kept, fid = lift_kept(kept, modes)
-    return ProtocolOutcome(p, kept, fid, 1)
+    return ProtocolOutcome(p, kept, fid)
 
 
 def iterate_rounds(
@@ -289,9 +288,6 @@ def iterate_rounds(
         else:
             pair = canonical_pair(cfg.n, basis, f)
         out = _run_single_round(cfg.n, basis, pair)
-        out = ProtocolOutcome(
-            out.success_probability, out.output, out.fidelity, r + 1
-        )
         results.append(out)
         f = out.fidelity
     return results
@@ -363,7 +359,7 @@ def correct_physical_bitflip(
             corrected.append((prob * w, s))
     output = Ensemble(tuple(corrected))
     target = with_labels(make_logic_bell(n, "phi+"), labels)
-    return ProtocolOutcome(1.0, output, fidelity(output, target), 1)
+    return ProtocolOutcome(1.0, output, fidelity(output, target))
 
 
 @dataclass(frozen=True)

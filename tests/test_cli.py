@@ -86,6 +86,23 @@ def test_correct_control_mode_exits_3(runner):
     assert "control mode" in result.stderr
 
 
+@pytest.mark.parametrize("command", ["purify", "sweep"])
+@pytest.mark.parametrize("position", ["0", "-1", "-5", "3"])
+def test_flip_position_outside_the_modes_exits_2(runner, command, position):
+    grid = (
+        ["--fidelity", "0.8"] if command == "purify"
+        else ["--f-min", "0.6", "--f-max", "0.8", "--steps", "2"]
+    )
+    result = runner.invoke(
+        main,
+        [command, "--n", "2", "--error", "logic-phase", "--flip-position", position]
+        + grid,
+    )
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert f"flip-position must name a mode 1..2, got {position}" in result.stderr
+
+
 def test_correct_position_out_of_range_exits_2(runner):
     result = runner.invoke(main, ["correct", "--n", "2", "--flip-position", "7"])
     assert result.exit_code == 2

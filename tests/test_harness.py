@@ -106,7 +106,6 @@ def test_parse_config_file(tmp_path):
         "f-min = 0.6\n"
         "f-max= 0.8\n"
         "steps =3\n"
-        "oracle = true\n"
         "\n"
     )
     values = parse_config_file(str(path))
@@ -116,15 +115,15 @@ def test_parse_config_file(tmp_path):
         "f-min": 0.6,
         "f-max": 0.8,
         "steps": 3,
-        "oracle": True,
     }
 
 
 def test_parse_config_file_rejects_bad_lines(tmp_path):
-    bad_key = tmp_path / "a.cfg"
-    bad_key.write_text("volume = 11\n")
-    with pytest.raises(ConfigError):
-        parse_config_file(str(bad_key))
+    for text in ("volume = 11\n", "oracle = true\n"):
+        bad_key = tmp_path / "a.cfg"
+        bad_key.write_text(text)
+        with pytest.raises(ConfigError, match="unknown key"):
+            parse_config_file(str(bad_key))
     bad_value = tmp_path / "b.cfg"
     bad_value.write_text("steps = many\n")
     with pytest.raises(ConfigError):
@@ -216,6 +215,7 @@ def test_write_results_sidecar(tmp_path):
     assert sidecar["mode"] == "purify"
     assert sidecar["fidelity"] == 0.8
     assert sidecar["error"] == "logic-bitflip"
+    assert "oracle" not in sidecar
 
 
 def test_shot_rng_is_order_independent():
@@ -257,6 +257,16 @@ def test_shot_uniforms_match_shot_rng_bit_for_bit(seed, stream):
     for count in (_SHOT_CHUNK - 1, _SHOT_CHUNK, _SHOT_CHUNK + 1):
         assert np.array_equal(_shot_uniforms(seed, stream, 0, count), want[:, :count])
     assert np.array_equal(_shot_uniforms(seed, stream, _SHOT_CHUNK, 1), want[:, -1:])
+
+
+def test_shot_tables_are_cached_and_read_only():
+    tables = _shot_tables(2, "bit")
+    assert _shot_tables(2, "bit") is tables
+    cdf, keeps, fids = tables[0]
+    assert isinstance(tables, tuple)
+    assert isinstance(keeps, tuple) and isinstance(fids, tuple)
+    with pytest.raises(ValueError, match="read-only"):
+        cdf[0] = 0.5
 
 
 def _reference_sample(n, basis, f, shots, seed, stream):

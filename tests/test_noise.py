@@ -30,11 +30,6 @@ def test_model_accepts_string_kind():
     assert m.kind is ErrorKind.PHYS_BITFLIP
 
 
-def test_model_dict_roundtrip():
-    m = ErrorModel(kind=ErrorKind.PHYS_PHASEFLIP, fidelity=0.7, target="A", position=2)
-    assert ErrorModel.from_dict(m.to_dict()) == m
-
-
 def test_operator_logic_bitflip_is_single_z():
     m = ErrorModel(kind=ErrorKind.LOGIC_BITFLIP, fidelity=0.5)
     op = error_operator(m, 3)
