@@ -134,7 +134,8 @@ def correct(config_path, **flags) -> None:
 @click.option("--n", "max_n", type=int, default=3,
               help="Largest logic-qubit size to check (from 2).")
 @click.option("--oracle", is_flag=True, default=False,
-              help="Also cross-check against the dense density-matrix engine.")
+              help="Also cross-check against the dense density-matrix engine"
+                   " (every n up to 5).")
 def verify(max_n: int, oracle: bool) -> None:
     """Run the internal invariant checks and report PASS/FAIL per check."""
     started = time.perf_counter()

@@ -73,18 +73,22 @@ _PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
 _PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
 _SHOT_CHUNK = 4096
 
+_MODES = ("purify", "sweep", "correct")
+_PURIFYING = ("purify", "sweep")
+
+# config-file key -> (value type, the modes that read it)
 _CONFIG_KEYS = {
-    "n": int,
-    "error": str,
-    "fidelity": float,
-    "f-min": float,
-    "f-max": float,
-    "steps": int,
-    "rounds": int,
-    "shots": int,
-    "seed": int,
-    "out": str,
-    "flip-position": int,
+    "n": (int, _MODES),
+    "error": (str, _PURIFYING),
+    "fidelity": (float, ("purify", "correct")),
+    "f-min": (float, ("sweep",)),
+    "f-max": (float, ("sweep",)),
+    "steps": (int, ("sweep",)),
+    "rounds": (int, _PURIFYING),
+    "shots": (int, _PURIFYING),
+    "seed": (int, _MODES),
+    "out": (str, _MODES),
+    "flip-position": (int, _MODES),
 }
 
 
@@ -155,7 +159,7 @@ class ExperimentConfig:
     flip_position: int | None = None
 
     def validate(self) -> None:
-        if self.mode not in ("purify", "sweep", "correct"):
+        if self.mode not in _MODES:
             raise ConfigError(f"unknown mode {self.mode!r}")
         if self.n < 2:
             raise ConfigError(f"n must be at least 2, got {self.n}")
@@ -216,17 +220,25 @@ def parse_config_file(path: str) -> dict:
         if key not in _CONFIG_KEYS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         try:
-            values[key] = _CONFIG_KEYS[key](val)
+            values[key] = _CONFIG_KEYS[key][0](val)
         except ValueError:
             raise ConfigError(f"{path}:{lineno}: bad value {val!r} for {key}") from None
     return values
 
 
 def resolve_config(mode: str, flag_values: dict, config_path: str | None) -> ExperimentConfig:
-    """Merge config-file values with flags; explicitly given flags win."""
+    """Merge config-file values with flags; explicitly given flags win.
+
+    A config-file key that the mode does not read is refused, not ignored.
+    """
     merged: dict = {}
     if config_path is not None:
         merged.update(parse_config_file(config_path))
+        foreign = [key for key in merged if mode not in _CONFIG_KEYS[key][1]]
+        if foreign:
+            raise ConfigError(
+                f"{config_path}: key {foreign[0]!r} is not used by {mode}"
+            )
     for key, val in flag_values.items():
         if val is not None:
             merged[key] = val

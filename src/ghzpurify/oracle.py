@@ -4,9 +4,12 @@ Everything here works on dense matrices: gates are applied by conjugation
 using slice arithmetic on the matrix reshaped to (2,)*(2k) (ket axes first,
 then bra axes), measurements are diagonal projectors. The kernels change
 the array they are given in place, through views of its axis halves. The
-purification pipeline below rebuilds the whole protocol from scratch on this
-representation, on one working copy of the 4n-qubit matrix, so the two
-engines share no evolution code.
+purification round below rebuilds the whole protocol from scratch on this
+representation, so the two engines share no evolution code. It shares one
+idea with the engine, the 2n + 2 staging: one copy is reduced on its own 2n
+qubits, and only the second copy's (a1, b1) corner joins it for the
+bilateral CNOTs. The oracle checks that idea's premise itself, by requiring
+the reduced copy's whole trace on the block where every ancilla reads 0.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import RegisterError
+from .errors import RegisterError, UnsupportedInputError
 from .states import (
     DENSITY_MAX_QUBITS,
     DensityMatrix,
@@ -30,6 +33,8 @@ from .states import (
 _SQRT2 = np.sqrt(2.0)
 # outcome probabilities at or below this are treated as impossible
 _IMPOSSIBLE = 1e-15
+# largest n whose 2n + 2 round qubits fit under DENSITY_MAX_QUBITS
+ORACLE_MAX_N = (DENSITY_MAX_QUBITS - 2) // 2
 
 
 def _halves(t: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray]:
@@ -168,47 +173,54 @@ def oracle_purify_round(
     Returns (success probability, output fidelity, kept-pair density matrix
     after tracing out the sacrificed copy). Independent of the branch
     engine: the circuit is spelled out here and evolution is conjugation.
+
+    The local stages act on each factor of rho (x) rho on its own, so one
+    copy is reduced as a 2n-qubit matrix: the CNOT fan-outs, H on a1 and b1,
+    and in the phase basis a second H pair. Its whole trace must then sit on
+    the block where every ancilla reads 0 (else UnsupportedInputError). The
+    second copy enters only as that block's 4 x 4 (a1, b1) corner,
+    relabelled (c1, d1), so the bilateral CNOTs and the post-selection run
+    on 2n + 2 qubits; c1 and d1 are traced out before recovery on 2n.
     """
     if basis not in ("bit", "phase"):
         raise ValueError(f"basis must be 'bit' or 'phase', got {basis!r}")
-    reg = make_register([("a", n), ("b", n), ("c", n), ("d", n)])
-    if reg.n_qubits > DENSITY_MAX_QUBITS:
+    size = 2 * n + 2
+    if n > ORACLE_MAX_N:
         raise RegisterError(
-            f"density matrices are capped at {DENSITY_MAX_QUBITS} qubits"
+            f"oracle round at n={n} needs {size} qubits;"
+            f" density matrices are capped at {DENSITY_MAX_QUBITS} qubits"
         )
     reg_ab = make_register([("a", n), ("b", n)])
-    pair = _logic_pair_density(n, f, "psi+" if basis == "bit" else "phi-")
-    # one working copy of the 4n-qubit system, evolved and projected in place
-    size = reg.n_qubits
-    t = np.kron(pair, pair).reshape((2,) * (2 * size))
+    # one copy, reduced in place through the tensor view t1
+    rho = _logic_pair_density(n, f, "psi+" if basis == "bit" else "phi-")
+    dim = len(rho)  # 2**(2n)
+    t1 = rho.reshape((2,) * (4 * n))
 
-    ops: list[tuple] = []
-    for pa, pb in (("a", "b"), ("c", "d")):
-        for k in range(2, n + 1):
-            ops.append(("cnot", f"{pa}1", f"{pa}{k}"))
-        for k in range(2, n + 1):
-            ops.append(("cnot", f"{pb}1", f"{pb}{k}"))
-        ops.append(("h", f"{pa}1"))
-        ops.append(("h", f"{pb}1"))
-    if basis == "phase":
-        ops.extend([("h", "a1"), ("h", "b1"), ("h", "c1"), ("h", "d1")])
-    ops.extend([("cnot", "a1", "c1"), ("cnot", "b1", "d1")])
-    _apply_ops(t, size, ops, reg)
+    fan_out = [("cnot", f"{p}1", f"{p}{k}") for p in "ab" for k in range(2, n + 1)]
+    heads = [("h", "a1"), ("h", "b1")]
+    _apply_ops(t1, 2 * n, fan_out + heads * (2 if basis == "phase" else 1), reg_ab)
 
+    # rho is positive semidefinite, so no diagonal weight off the clean
+    # block means no entry off it either
+    ancillas = [q for q in range(2 * n) if q not in (0, n)]
+    stray = np.abs(np.diagonal(rho)).reshape((2,) * (2 * n))
+    _zero_block(stray, {q: 0 for q in ancillas})
+    if stray.sum() > _IMPOSSIBLE:
+        raise UnsupportedInputError("the reduced ancillas are not all in |0>")
+    corner: list[slice | int] = [slice(None)] * (4 * n)
+    for q in ancillas:
+        corner[q] = corner[2 * n + q] = 0
+    sacrificed = t1[tuple(corner)].reshape(4, 4)
+
+    reg = make_register([("a", n), ("b", n), ("c", 1), ("d", 1)])
+    t = np.kron(rho, sacrificed).reshape((2,) * (2 * size))
+    _apply_ops(t, size, [("cnot", "a1", "c1"), ("cnot", "b1", "d1")], reg)
     p_total = _postselect_equal(t, size, reg.index_of("c1"), reg.index_of("d1"))
     if p_total <= _IMPOSSIBLE:
-        return 0.0, 0.0, DensityMatrix(reg_ab, np.zeros(pair.shape))
+        return 0.0, 0.0, DensityMatrix(reg_ab, np.zeros(rho.shape))
 
-    recover: list[tuple] = [("h", "a1"), ("h", "b1")]
-    for k in range(2, n + 1):
-        recover.append(("cnot", "a1", f"a{k}"))
-    for k in range(2, n + 1):
-        recover.append(("cnot", "b1", f"b{k}"))
-    _apply_ops(t, size, recover, reg)
-
-    dim = len(pair)  # the a,b and the c,d halves each span 2**(2n) states
-    blocks = t.reshape(dim, dim, dim, dim)
-    reduced = np.einsum("icjc->ij", blocks) / p_total
+    kept = np.einsum("icjc->ij", t.reshape(dim, 4, dim, 4)) / p_total
+    _apply_ops(kept.reshape((2,) * (4 * n)), 2 * n, heads + fan_out, reg_ab)
     target = make_logic_bell(n, "phi+").amps
-    fid = float(np.vdot(target, reduced @ target).real)
-    return p_total, fid, DensityMatrix(reg_ab, reduced)
+    fid = float(np.vdot(target, kept @ target).real)
+    return p_total, fid, DensityMatrix(reg_ab, kept)

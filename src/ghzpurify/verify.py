@@ -7,6 +7,7 @@ checks use a fixed seed so a given build either always passes or always fails.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -14,7 +15,7 @@ import numpy as np
 
 from .gates import apply_cnot, apply_h, apply_x, apply_z
 from .noise import ErrorKind, ErrorModel, apply_error_model
-from .oracle import compare, oracle_purify_round
+from .oracle import ORACLE_MAX_N, compare, oracle_purify_round
 from .protocol import (
     BASES,
     PurifyConfig,
@@ -293,16 +294,18 @@ def check_logic_phaseflip_operator(ns: tuple[int, ...]) -> CheckResult:
 
 
 def check_oracle_round_agreement(ns: tuple[int, ...]) -> CheckResult:
-    """Branch engine vs the dense density-matrix engine, n=2 full round."""
+    """Branch engine vs the dense density-matrix engine, one full round at
+    every n in ns up to ORACLE_MAX_N = 5; larger n are skipped."""
     dev = 0.0
-    for basis in BASES:
-        for f in (0.3, 0.68, 0.8, 0.95):
-            cfg = PurifyConfig(n=2, error_basis=basis, input_fidelity=f, rounds=1)
-            out = purify_round(cfg)
-            p_or, f_or, dm = oracle_purify_round(2, basis, f)
-            dev = max(dev, abs(out.success_probability - p_or))
-            dev = max(dev, abs(out.fidelity - f_or))
-            dev = max(dev, compare(out.output, dm))
+    for n, basis, f in itertools.product(
+        [k for k in ns if k <= ORACLE_MAX_N], BASES, (0.3, 0.68, 0.8, 0.95)
+    ):
+        cfg = PurifyConfig(n=n, error_basis=basis, input_fidelity=f, rounds=1)
+        out = purify_round(cfg)
+        p_or, f_or, dm = oracle_purify_round(n, basis, f)
+        dev = max(dev, abs(out.success_probability - p_or))
+        dev = max(dev, abs(out.fidelity - f_or))
+        dev = max(dev, compare(out.output, dm))
     return _result("oracle_round_agreement", dev, ORACLE_TOL)
 
 

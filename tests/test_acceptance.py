@@ -132,16 +132,19 @@ def test_criterion_4_arbitrary_block_size():
                 dev_map,
                 abs(out.success_probability - one_round_success_probability(f)),
             )
-    # dense cross-check at the 12-qubit cap
-    out3 = purify_round(
-        PurifyConfig(n=3, error_basis="bit", input_fidelity=0.8, rounds=1)
-    )
-    p_or, f_or, dm = oracle_purify_round(3, "bit", 0.8)
-    dev_oracle = max(
-        abs(out3.fidelity - f_or),
-        abs(out3.success_probability - p_or),
-        compare(out3.output, dm),
-    )
+    # dense cross-check; n = 5 reaches the 12-qubit cap
+    dev_oracle = 0.0
+    for n in (3, 4, 5):
+        out = purify_round(
+            PurifyConfig(n=n, error_basis="bit", input_fidelity=0.8, rounds=1)
+        )
+        p_or, f_or, dm = oracle_purify_round(n, "bit", 0.8)
+        dev_oracle = max(
+            dev_oracle,
+            abs(out.fidelity - f_or),
+            abs(out.success_probability - p_or),
+            compare(out.output, dm),
+        )
     elapsed = time.perf_counter() - started
     ok = (
         dev_anc <= EXACT
@@ -151,7 +154,7 @@ def test_criterion_4_arbitrary_block_size():
     )
     _report(
         4,
-        "n in {3,4,5}: ancillas disentangle and the map holds (oracle at n=3)",
+        "n in {3,4,5}: ancillas disentangle, the map holds and the oracle agrees",
         ok,
         f"ancilla dev {dev_anc:.2e}, map dev {dev_map:.2e} <= 1e-12,"
         f" oracle dev {dev_oracle:.2e} <= 1e-10, {elapsed:.1f}s < 30s",

@@ -180,6 +180,27 @@ def test_config_file_unknown_key_exits_2(runner, tmp_path):
     assert result.exit_code == 2
 
 
+@pytest.mark.parametrize(
+    "command, line",
+    [
+        (["purify", "--fidelity", "0.8"], "steps = 3"),
+        (["purify", "--fidelity", "0.8"], "f-min = 0.1"),
+        (["correct", "--flip-position", "2"], "shots = 5"),
+    ],
+    ids=["purify-steps", "purify-f-min", "correct-shots"],
+)
+def test_config_file_key_the_command_does_not_use_exits_2(
+    runner, tmp_path, command, line
+):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"n = 2\n{line}\n")
+    result = runner.invoke(main, command + ["--config", str(cfg)])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    key = line.split(" = ")[0]
+    assert f"key '{key}' is not used by {command[0]}" in result.stderr
+
+
 def test_verify_passes_and_prints_lines(runner):
     result = runner.invoke(main, ["verify", "--n", "2"])
     assert result.exit_code == 0

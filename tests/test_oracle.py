@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ghzpurify.errors import RegisterError
-from ghzpurify.gates import apply_circuit, project
+from ghzpurify import oracle
+from ghzpurify.errors import RegisterError, UnsupportedInputError
+from ghzpurify.gates import apply_circuit, apply_x, project
 from ghzpurify.oracle import (
     compare,
     evolve_density,
@@ -18,6 +19,7 @@ from ghzpurify.states import (
     PureState,
     Register,
     make_logic_bell,
+    make_register,
     map_branches,
     to_density_matrix,
 )
@@ -150,14 +152,72 @@ def test_oracle_round_matches_formulas(basis, f):
 
 
 @pytest.mark.parametrize("basis", ["bit", "phase"])
-def test_oracle_agrees_with_branch_engine(basis):
+@pytest.mark.parametrize(
+    "n", [2, 3, 4, pytest.param(5, marks=pytest.mark.slow)]
+)
+def test_oracle_agrees_with_branch_engine(n, basis):
     for f in (0.3, 0.8):
-        cfg = PurifyConfig(n=2, error_basis=basis, input_fidelity=f, rounds=1)
+        cfg = PurifyConfig(n=n, error_basis=basis, input_fidelity=f, rounds=1)
         out = purify_round(cfg)
-        p, fid, dm = oracle_purify_round(2, basis, f)
+        p, fid, dm = oracle_purify_round(n, basis, f)
         assert out.success_probability == pytest.approx(p, abs=1e-10)
         assert out.fidelity == pytest.approx(fid, abs=1e-10)
         assert compare(out.output, dm) < 1e-10
+
+
+def _oracle_round_4n(n, basis, f):
+    """Reference spelling of the round on all 4n qubits of rho (x) rho."""
+    reg = make_register([("a", n), ("b", n), ("c", n), ("d", n)])
+    pair = oracle._logic_pair_density(n, f, "psi+" if basis == "bit" else "phi-")
+    size = reg.n_qubits
+    t = np.kron(pair, pair).reshape((2,) * (2 * size))
+    ops = []
+    for pa, pb in (("a", "b"), ("c", "d")):
+        for k in range(2, n + 1):
+            ops.append(("cnot", f"{pa}1", f"{pa}{k}"))
+        for k in range(2, n + 1):
+            ops.append(("cnot", f"{pb}1", f"{pb}{k}"))
+        ops.append(("h", f"{pa}1"))
+        ops.append(("h", f"{pb}1"))
+    if basis == "phase":
+        ops.extend([("h", "a1"), ("h", "b1"), ("h", "c1"), ("h", "d1")])
+    ops.extend([("cnot", "a1", "c1"), ("cnot", "b1", "d1")])
+    oracle._apply_ops(t, size, ops, reg)
+    p_total = oracle._postselect_equal(
+        t, size, reg.index_of("c1"), reg.index_of("d1")
+    )
+    recover = [("h", "a1"), ("h", "b1")]
+    for k in range(2, n + 1):
+        recover.append(("cnot", "a1", f"a{k}"))
+    for k in range(2, n + 1):
+        recover.append(("cnot", "b1", f"b{k}"))
+    oracle._apply_ops(t, size, recover, reg)
+    dim = len(pair)
+    reduced = np.einsum("icjc->ij", t.reshape(dim, dim, dim, dim)) / p_total
+    target = make_logic_bell(n, "phi+").amps
+    return p_total, float(np.vdot(target, reduced @ target).real), reduced
+
+
+@pytest.mark.parametrize("basis", ["bit", "phase"])
+@pytest.mark.parametrize("f", [0.0, 0.3, 0.8, 1.0])
+def test_oracle_staging_agrees_with_4n_reference(basis, f):
+    p_ref, fid_ref, ref = _oracle_round_4n(2, basis, f)
+    p, fid, dm = oracle_purify_round(2, basis, f)
+    assert abs(p - p_ref) <= ORACLE_TOL
+    assert abs(fid - fid_ref) <= ORACLE_TOL
+    assert np.max(np.abs(dm.matrix - ref)) <= ORACLE_TOL
+
+
+@pytest.mark.parametrize("basis", ["bit", "phase"])
+def test_oracle_rejects_dirty_ancilla(monkeypatch, basis):
+    # a physical bit flip on a2 leaves a2 in |1> after the reduction
+    def flipped_pair(n, f, error_kind):
+        amps = apply_x(make_logic_bell(n, "phi+"), "a2").amps
+        return np.outer(amps, amps.conj())
+
+    monkeypatch.setattr(oracle, "_logic_pair_density", flipped_pair)
+    with pytest.raises(UnsupportedInputError, match="ancillas"):
+        oracle_purify_round(2, basis, 0.8)
 
 
 def test_oracle_output_is_valid_state():
@@ -175,22 +235,17 @@ def test_oracle_handles_pure_limits():
     assert fid == pytest.approx(0.0, abs=1e-12)
 
 
-def test_oracle_refuses_registers_past_the_density_cap():
-    # n = 4 needs a 16-qubit matrix (64 GiB); it must be refused up front
-    with pytest.raises(RegisterError, match="capped at 12 qubits"):
-        oracle_purify_round(4, "bit", 0.8)
+def test_oracle_refuses_registers_past_the_density_cap(monkeypatch):
+    # n = 6 needs a 14-qubit matrix; it must be refused before any allocation
+    def no_pair(*args):
+        raise AssertionError("the pair was built before the cap check")
+
+    monkeypatch.setattr(oracle, "_logic_pair_density", no_pair)
+    with pytest.raises(RegisterError, match="capped at 12 qubits") as refused:
+        oracle_purify_round(6, "bit", 0.8)
+    assert "n=6" in str(refused.value)
 
 
 def test_oracle_rejects_bad_basis():
     with pytest.raises(ValueError):
         oracle_purify_round(2, "diagonal", 0.8)
-
-
-@pytest.mark.slow
-def test_oracle_n3_agrees_with_branch_engine():
-    cfg = PurifyConfig(n=3, error_basis="bit", input_fidelity=0.8, rounds=1)
-    out = purify_round(cfg)
-    p, fid, dm = oracle_purify_round(3, "bit", 0.8)
-    assert out.success_probability == pytest.approx(p, abs=1e-10)
-    assert out.fidelity == pytest.approx(fid, abs=1e-10)
-    assert compare(out.output, dm) < 1e-10

@@ -1,6 +1,14 @@
 import pytest
 
-from ghzpurify.verify import CHECK_FUNCS, CheckResult, run_verify
+import ghzpurify.verify
+from ghzpurify.protocol import PurifyConfig, purify_round
+from ghzpurify.states import to_density_matrix
+from ghzpurify.verify import (
+    CHECK_FUNCS,
+    CheckResult,
+    check_oracle_round_agreement,
+    run_verify,
+)
 
 
 def test_all_checks_pass_at_default_size():
@@ -23,6 +31,22 @@ def test_oracle_flag_appends_cross_check():
     assert len(with_oracle) == len(base) + 1
     assert with_oracle[-1].name == "oracle_round_agreement"
     assert with_oracle[-1].passed
+
+
+def test_oracle_check_covers_every_n_up_to_5(monkeypatch):
+    # the engine's own answer stands in for the dense round; only the n the
+    # check asks for are recorded
+    asked = []
+
+    def engine_round(n, basis, f):
+        asked.append(n)
+        cfg = PurifyConfig(n=n, error_basis=basis, input_fidelity=f, rounds=1)
+        out = purify_round(cfg)
+        return out.success_probability, out.fidelity, to_density_matrix(out.output)
+
+    monkeypatch.setattr(ghzpurify.verify, "oracle_purify_round", engine_round)
+    assert check_oracle_round_agreement((2, 3, 4, 5, 6)).passed
+    assert sorted(set(asked)) == [2, 3, 4, 5]
 
 
 def test_run_verify_rejects_small_n():
