@@ -1,9 +1,10 @@
 """Gate application and projective measurement on pure states and ensembles.
 
 Kernels reshape the amplitude vector to (2,)*n so register position k is
-tensor axis k. Measured qubits stay in the register, projected onto the
-observed outcome; use discard() to drop spectator qubits that sit in a
-definite basis state.
+tensor axis k. Each makes one pass into a fresh array, which the new state
+adopts uncopied; a CNOT fans out to all its targets in that one pass.
+Measured qubits stay in the register, projected onto the observed outcome;
+use discard() to drop spectator qubits that sit in a definite basis state.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ def _apply_single(s: PureState, label: str, mat: np.ndarray) -> PureState:
     t = s.amps.reshape((2,) * n)
     t = np.tensordot(mat, t, axes=([1], [q]))
     t = np.moveaxis(t, 0, q)
-    return PureState(s.register, t.reshape(-1))
+    return PureState._adopt(s.register, t.reshape(-1))
 
 
 def apply_h(s: PureState, label: str) -> PureState:
@@ -69,23 +70,26 @@ def apply_pauli(s: PureState, p: PauliString) -> PureState:
     return s
 
 
-def apply_cnot(s: PureState, control: str, target: str) -> PureState:
-    if control == target:
-        raise RegisterError("control and target must differ")
+def apply_cnot(s: PureState, control: str, *targets: str) -> PureState:
+    """Flip every target where the control reads 1, in one pass."""
     c = s.register.index_of(control)
-    t = s.register.index_of(target)
+    ts = s.register.positions(targets)
+    if not ts or c in ts or len(set(ts)) != len(ts):
+        raise RegisterError("need distinct targets that differ from the control")
     n = s.n_qubits
-    arr = s.amps.reshape((2,) * n).copy()
+    src = s.amps.reshape((2,) * n)
+    out = np.empty_like(src)
     sel: list[slice | int] = [slice(None)] * n
+    sel[c] = 0
+    out[tuple(sel)] = src[tuple(sel)]
     sel[c] = 1
-    sub = arr[tuple(sel)]
-    axis = t - 1 if t > c else t
-    arr[tuple(sel)] = np.flip(sub, axis=axis)
-    return PureState(s.register, arr.reshape(-1))
+    axes = tuple(t - 1 if t > c else t for t in ts)
+    out[tuple(sel)] = np.flip(src[tuple(sel)], axis=axes)
+    return PureState._adopt(s.register, out.reshape(-1))
 
 
 def apply_circuit(s: PureState, ops: Iterable[tuple]) -> PureState:
-    """Run ("h", q), ("x", q), ("z", q), ("cnot", c, t) descriptors in order."""
+    """Run ("h", q), ("x", q), ("z", q), ("cnot", c, t1, ...) descriptors in order."""
     for op in ops:
         kind = op[0]
         if kind == "h":
@@ -95,7 +99,7 @@ def apply_circuit(s: PureState, ops: Iterable[tuple]) -> PureState:
         elif kind == "z":
             s = apply_z(s, op[1])
         elif kind == "cnot":
-            s = apply_cnot(s, op[1], op[2])
+            s = apply_cnot(s, op[1], *op[2:])
         else:
             raise ValueError(f"unknown op {op!r}")
     return s
@@ -103,10 +107,8 @@ def apply_circuit(s: PureState, ops: Iterable[tuple]) -> PureState:
 
 def outcome_probability(s: PureState, label: str, outcome: int) -> float:
     q = s.register.index_of(label)
-    t = np.abs(s.amps.reshape((2,) * s.n_qubits)) ** 2
-    axes = tuple(i for i in range(s.n_qubits) if i != q)
-    marg = t.sum(axis=axes)
-    return float(marg[outcome])
+    v = s.amps.reshape(2**q, 2, -1)[:, outcome]
+    return float(np.vdot(v, v).real)
 
 
 def project(s: PureState, label: str, outcome: int) -> tuple[float, PureState | None]:
@@ -121,11 +123,10 @@ def project(s: PureState, label: str, outcome: int) -> tuple[float, PureState | 
     p = outcome_probability(s, label, outcome)
     if p <= OUTCOME_EPS:
         return 0.0, None
-    arr = s.amps.reshape((2,) * s.n_qubits).copy()
-    sel: list[slice | int] = [slice(None)] * s.n_qubits
-    sel[q] = 1 - outcome
-    arr[tuple(sel)] = 0.0
-    return p, PureState(s.register, arr.reshape(-1) / np.sqrt(p))
+    src = s.amps.reshape(2**q, 2, -1)
+    out = np.zeros_like(src)
+    np.divide(src[:, outcome], np.sqrt(p), out=out[:, outcome])
+    return p, PureState._adopt(s.register, out.reshape(-1))
 
 
 def measure_ensemble(
@@ -170,31 +171,23 @@ def discard(s: PureState, labels: Sequence[str]) -> PureState:
     drop = set(labels)
     if not drop:
         return s
-    keep_positions = []
-    fixed: dict[int, int] = {}
-    for k, lab in enumerate(s.register.labels):
+    sel: list[slice | int] = []
+    for lab in s.register.labels:
         if lab not in drop:
-            keep_positions.append(k)
+            sel.append(slice(None))
             continue
         p1 = outcome_probability(s, lab, 1)
-        if p1 <= OUTCOME_EPS:
-            fixed[k] = 0
-        elif p1 >= 1.0 - OUTCOME_EPS:
-            fixed[k] = 1
-        else:
+        if OUTCOME_EPS < p1 < 1.0 - OUTCOME_EPS:
             raise RegisterError(f"qubit {lab!r} is not in a definite basis state")
+        sel.append(int(p1 > OUTCOME_EPS))
     missing = drop - set(s.register.labels)
     if missing:
         raise RegisterError(f"labels {sorted(missing)} not in register")
-    if not keep_positions:
+    keep = tuple(lab for lab in s.register.labels if lab not in drop)
+    if not keep:
         raise RegisterError("cannot discard every qubit")
-    sel: list[slice | int] = [slice(None)] * s.n_qubits
-    for k, v in fixed.items():
-        sel[k] = v
     sub = s.amps.reshape((2,) * s.n_qubits)[tuple(sel)].reshape(-1)
-    norm = np.linalg.norm(sub)
-    reg = Register(tuple(s.register.labels[k] for k in keep_positions))
-    return PureState(reg, sub / norm)
+    return PureState._adopt(Register(keep), sub / np.linalg.norm(sub))
 
 
 def reset_qubit(s: PureState, label: str) -> PureState:

@@ -39,7 +39,7 @@ from .protocol import (
     prepare_copy,
     route_noisy_pair,
 )
-from .states import Ensemble, map_branches
+from .states import MAX_QUBITS, Ensemble, map_branches
 
 CSV_COLUMNS = (
     "n",
@@ -163,6 +163,12 @@ class ExperimentConfig:
             raise ConfigError(f"unknown mode {self.mode!r}")
         if self.n < 2:
             raise ConfigError(f"n must be at least 2, got {self.n}")
+        qubits = 2 * self.n + (0 if self.mode == "correct" else 2)
+        if qubits > MAX_QUBITS:
+            raise ConfigError(
+                f"{self.mode} at n={self.n} needs {qubits} qubits;"
+                f" registers are capped at {MAX_QUBITS}"
+            )
         if self.rounds < 1:
             raise ConfigError(f"rounds must be at least 1, got {self.rounds}")
         if self.shots < 0:

@@ -33,6 +33,8 @@ from .states import (
 _SQRT2 = np.sqrt(2.0)
 # outcome probabilities at or below this are treated as impossible
 _IMPOSSIBLE = 1e-15
+# a half swap moves blocks of 2**_SWAP_AXES entries: 256 KiB temporaries
+_SWAP_AXES = 14
 # largest n whose 2n + 2 round qubits fit under DENSITY_MAX_QUBITS
 ORACLE_MAX_N = (DENSITY_MAX_QUBITS - 2) // 2
 
@@ -55,10 +57,11 @@ def _h_axis(t: np.ndarray, axis: int) -> None:
 
 
 def _x_axis(t: np.ndarray, axis: int) -> None:
+    # swap the halves block by block, so the temporary stays in cache
     lo, hi = _halves(t, axis)
-    tmp = lo.copy()
-    lo[...] = hi
-    hi[...] = tmp
+    for idx in itertools.product((0, 1), repeat=max(lo.ndim - _SWAP_AXES, 0)):
+        a, b = lo[idx], hi[idx]
+        a[...], b[...] = b, a.copy()
 
 
 def _z_axis(t: np.ndarray, axis: int) -> None:
@@ -67,11 +70,9 @@ def _z_axis(t: np.ndarray, axis: int) -> None:
 
 
 def _cnot_axes(t: np.ndarray, control_axis: int, target_axis: int) -> None:
-    sel: list[slice | int] = [slice(None)] * t.ndim
-    sel[control_axis] = 1
-    sub = t[tuple(sel)]
-    axis = target_axis - 1 if target_axis > control_axis else target_axis
-    t[tuple(sel)] = np.flip(sub, axis=axis)
+    # X on the target inside the control-1 half
+    _, hi = _halves(t, control_axis)
+    _x_axis(hi, target_axis - 1 if target_axis > control_axis else target_axis)
 
 
 def _apply_ops(t: np.ndarray, n: int, ops: Iterable[tuple], reg: Register) -> None:

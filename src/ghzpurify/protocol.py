@@ -27,6 +27,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import RegisterError, UnsupportedInputError
 from .gates import (
     OUTCOME_EPS,
@@ -84,17 +86,23 @@ def reduce_copy(s: PureState, modes: Modes) -> PureState:
     """
     _validate_modes(s, modes)
     for group in modes:
-        for target in group[1:]:
-            s = apply_cnot(s, group[0], target)
+        s = apply_cnot(s, *group)
     for group in modes:
         s = apply_h(s, group[0])
     return s
 
 
 def _require_clear_ancillas(s: PureState, modes: Modes) -> None:
-    """Reject a reduced state whose non-first modes are not all in |0>."""
-    for group in modes:
-        for anc in group[1:]:
+    """Reject a reduced state whose non-first modes are not all in |0>.
+
+    One norm of the block where every ancilla reads 0 clears the usual case;
+    only a state that fails it is checked mode by mode, to name the offender.
+    """
+    ancillas = [anc for group in modes for anc in group[1:]]
+    sel = [0 if lab in ancillas else slice(None) for lab in s.register.labels]
+    clear = s.amps.reshape((2,) * s.n_qubits)[tuple(sel)]
+    if np.vdot(s.amps, s.amps).real - np.vdot(clear, clear).real > OUTCOME_EPS:
+        for anc in ancillas:
             if outcome_probability(s, anc, 1) > OUTCOME_EPS:
                 raise UnsupportedInputError(f"mode {anc!r} is not in |0>")
 
@@ -111,8 +119,7 @@ def recover_logic(e: Ensemble, modes: Modes) -> Ensemble:
         for group in modes:
             s = apply_h(s, group[0])
         for group in modes:
-            for target in group[1:]:
-                s = apply_cnot(s, group[0], target)
+            s = apply_cnot(s, *group)
         return s
 
     return map_branches(e, lift)
@@ -131,14 +138,8 @@ def bennett_step(
     labels = set(kept_pair) | set(sacrificed_pair)
     if len(labels) != 4:
         raise RegisterError("kept and sacrificed pairs must use four distinct modes")
-    e = map_branches(
-        e,
-        lambda s: apply_cnot(
-            apply_cnot(s, kept_pair[0], sacrificed_pair[0]),
-            kept_pair[1],
-            sacrificed_pair[1],
-        ),
-    )
+    for control, target in zip(kept_pair, sacrificed_pair):
+        e = map_branches(e, lambda s: apply_cnot(s, control, target))
     return measure_ensemble(e, list(sacrificed_pair))
 
 
@@ -338,12 +339,9 @@ def correct_physical_bitflip(
             raise RegisterError(f"flip position {flip_position} out of range for n={n}")
     control, ancillas = modes[0], modes[1:]
 
-    def detect(s: PureState) -> PureState:
-        for anc in ancillas:
-            s = apply_cnot(s, control, anc)
-        return s
-
-    outcomes = measure_ensemble(map_branches(e, detect), list(ancillas))
+    outcomes = measure_ensemble(
+        map_branches(e, lambda s: apply_cnot(s, control, *ancillas)), list(ancillas)
+    )
     corrected: list[tuple[float, PureState]] = []
     for bits, (prob, ens) in outcomes.items():
         flagged = [anc for anc, bit in zip(ancillas, bits) if bit == 1]
@@ -354,9 +352,7 @@ def correct_physical_bitflip(
         for w, s in ens.branches:
             for anc in flagged:
                 s = apply_x(s, anc) if path == "qnd" else reset_qubit(s, anc)
-            for anc in ancillas:
-                s = apply_cnot(s, control, anc)
-            corrected.append((prob * w, s))
+            corrected.append((prob * w, apply_cnot(s, control, *ancillas)))
     output = Ensemble(tuple(corrected))
     target = with_labels(make_logic_bell(n, "phi+"), labels)
     return ProtocolOutcome(1.0, output, fidelity(output, target))

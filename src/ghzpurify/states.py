@@ -95,7 +95,17 @@ class PureState:
     amps: np.ndarray
 
     def __post_init__(self) -> None:
-        amps = np.array(self.amps, dtype=np.complex128)
+        self._seal(np.array(self.amps, dtype=np.complex128))
+
+    @classmethod
+    def _adopt(cls, register: Register, amps: np.ndarray) -> PureState:
+        """Wrap a complex128 array that a kernel has just built, without a copy."""
+        s = object.__new__(cls)
+        object.__setattr__(s, "register", register)
+        s._seal(amps)
+        return s
+
+    def _seal(self, amps: np.ndarray) -> None:
         if amps.shape != (2**self.register.n_qubits,):
             raise RegisterError(
                 f"amplitude vector of length {amps.shape} does not match "
@@ -129,7 +139,7 @@ def _bits_to_index(bits: str | Sequence[int], n: int) -> int:
 def basis_state(register: Register, bits: str | Sequence[int]) -> PureState:
     amps = np.zeros(2**register.n_qubits, dtype=np.complex128)
     amps[_bits_to_index(bits, register.n_qubits)] = 1.0
-    return PureState(register, amps)
+    return PureState._adopt(register, amps)
 
 
 def _bell_vector(kind: str) -> np.ndarray:
@@ -146,7 +156,7 @@ def _bell_vector(kind: str) -> np.ndarray:
 
 def make_bell(kind: str, labels: tuple[str, str] = ("q1", "q2")) -> PureState:
     """Physical two-qubit Bell state: phi+/- = (|00> +- |11>)/sqrt2, psi+/- = (|01> +- |10>)/sqrt2."""
-    return PureState(Register(tuple(labels)), _bell_vector(kind))
+    return PureState._adopt(Register(tuple(labels)), _bell_vector(kind))
 
 
 def make_ghz(n: int, sign: str = "+", prefix: str = "g") -> PureState:
@@ -156,9 +166,8 @@ def make_ghz(n: int, sign: str = "+", prefix: str = "g") -> PureState:
     if sign not in ("+", "-"):
         raise ValueError(f"sign must be '+' or '-', got {sign!r}")
     amps = np.zeros(2**n, dtype=np.complex128)
-    amps[0] = 1 / _SQRT2
-    amps[-1] = (1 / _SQRT2) if sign == "+" else (-1 / _SQRT2)
-    return PureState(make_register([(prefix, n)]), amps)
+    amps[0], amps[-1] = 1 / _SQRT2, (1 if sign == "+" else -1) / _SQRT2
+    return PureState._adopt(make_register([(prefix, n)]), amps)
 
 
 def make_logic_bell(
@@ -175,15 +184,16 @@ def make_logic_bell(
         raise ValueError("logic qubits need n >= 2 physical qubits")
     if kind not in BELL_KINDS:
         raise ValueError(f"unknown logic Bell kind {kind!r}")
-    gp = make_ghz(n, "+").amps
-    gm = make_ghz(n, "-").amps
+    h = 1 / _SQRT2
+    g = np.array([[h, h], [h, -h]])  # rows G+, G-; columns |0...0>, |1...1>
+    x, y = (0, 0) if kind.startswith("phi") else (0, 1)
     sign = 1.0 if kind.endswith("+") else -1.0
-    if kind.startswith("phi"):
-        amps = (np.kron(gp, gp) + sign * np.kron(gm, gm)) / _SQRT2
-    else:
-        amps = (np.kron(gp, gm) + sign * np.kron(gm, gp)) / _SQRT2
+    corner = np.outer(g[x], g[y]) + sign * np.outer(g[1 - x], g[1 - y])
+    amps = np.zeros(4**n, dtype=np.complex128)
+    end = 2**n - 1  # non-zero only where each block reads all 0 or all 1
+    amps.reshape(2**n, 2**n)[::end, ::end] = corner / _SQRT2
     reg = make_register([(prefixes[0], n), (prefixes[1], n)])
-    return PureState(reg, amps)
+    return PureState._adopt(reg, amps)
 
 
 def _check_same_register(a: Register, b: Register) -> None:
@@ -203,14 +213,14 @@ def tensor(s1: PureState, s2: PureState) -> PureState:
     if common:
         raise RegisterError(f"overlapping labels {sorted(common)}")
     reg = Register(s1.register.labels + s2.register.labels)
-    return PureState(reg, np.kron(s1.amps, s2.amps))
+    return PureState._adopt(reg, np.kron(s1.amps, s2.amps))
 
 
 def with_labels(s: PureState, labels: Sequence[str]) -> PureState:
     """Same amplitudes on a renamed register (order preserved)."""
     if len(labels) != s.n_qubits:
         raise RegisterError("label count mismatch")
-    return PureState(Register(tuple(labels)), s.amps)
+    return PureState._adopt(Register(tuple(labels)), s.amps)
 
 
 def permute(s: PureState, labels: Sequence[str]) -> PureState:
@@ -224,7 +234,7 @@ def permute(s: PureState, labels: Sequence[str]) -> PureState:
         return s
     src = s.register.positions(new)
     t = s.amps.reshape((2,) * s.n_qubits).transpose(src)
-    return PureState(Register(new), np.ascontiguousarray(t).reshape(-1))
+    return PureState._adopt(Register(new), np.ascontiguousarray(t).reshape(-1))
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,9 +1,12 @@
 import pytest
 from click.testing import CliRunner
 
+import ghzpurify.protocol
+import ghzpurify.states
 import ghzpurify.verify
 from ghzpurify.cli import main
-from ghzpurify.harness import CSV_COLUMNS
+from ghzpurify.harness import CSV_COLUMNS, ExperimentConfig
+from ghzpurify.noise import ErrorKind
 from ghzpurify.verify import CheckResult
 
 
@@ -101,6 +104,38 @@ def test_flip_position_outside_the_modes_exits_2(runner, command, position):
     assert result.exit_code == 2
     assert result.stdout == ""
     assert f"flip-position must name a mode 1..2, got {position}" in result.stderr
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["purify", "--n", "12", "--fidelity", "0.8"], "purify at n=12 needs 26 qubits"),
+        (
+            ["sweep", "--n", "12", "--f-min", "0.6", "--f-max", "0.8", "--steps", "2"],
+            "sweep at n=12 needs 26 qubits",
+        ),
+        (["correct", "--n", "13", "--flip-position", "2"], "correct at n=13 needs 26 qubits"),
+    ],
+)
+def test_oversize_block_refused_before_any_state_is_built(
+    runner, monkeypatch, args, message
+):
+    def fail(*_args, **_kwargs):
+        raise AssertionError("a state was built before the size check")
+
+    monkeypatch.setattr(ghzpurify.states, "make_logic_bell", fail)
+    monkeypatch.setattr(ghzpurify.protocol, "make_logic_bell", fail)
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert f"{message}; registers are capped at 24" in result.stderr
+
+
+def test_largest_blocks_pass_the_size_check():
+    ExperimentConfig(mode="purify", n=11, fidelity=0.8).validate()
+    ExperimentConfig(
+        mode="correct", n=12, error=ErrorKind.PHYS_BITFLIP, flip_position=2
+    ).validate()
 
 
 def test_correct_position_out_of_range_exits_2(runner):

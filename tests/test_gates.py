@@ -17,11 +17,15 @@ from ghzpurify.gates import (
     reset_qubit,
 )
 from ghzpurify.states import (
+    BELL_KINDS,
+    EXACT_TOL,
     Ensemble,
     PureState,
     Register,
     basis_state,
     make_bell,
+    make_ghz,
+    make_logic_bell,
     overlap,
 )
 
@@ -206,3 +210,102 @@ def test_projection_chain_consistency():
                 p2, _ = project(after1, "q2", o2)
                 total += p1 * p2
         assert total == pytest.approx(1.0, abs=1e-12)
+
+
+# Reference formulas the long way: a marginal summed over every other axis,
+# and a projection that copies the state and zeroes the other half.
+
+
+def _marginal_probability(s, label, outcome):
+    q = s.register.index_of(label)
+    t = np.abs(s.amps.reshape((2,) * s.n_qubits)) ** 2
+    axes = tuple(i for i in range(s.n_qubits) if i != q)
+    return float(t.sum(axis=axes)[outcome])
+
+
+def _copy_and_zero_projection(s, label, outcome):
+    q = s.register.index_of(label)
+    arr = s.amps.reshape((2,) * s.n_qubits).copy()
+    sel = [slice(None)] * s.n_qubits
+    sel[q] = 1 - outcome
+    arr[tuple(sel)] = 0.0
+    return arr.reshape(-1) / np.sqrt(_marginal_probability(s, label, outcome))
+
+
+@pytest.mark.parametrize(
+    "control, targets",
+    [
+        ("q1", ("q2", "q4", "q5")),  # control before the targets
+        ("q3", ("q1", "q5", "q2")),  # control between them, targets unsorted
+        ("q5", ("q1", "q2", "q3", "q4")),  # control after them
+        ("q2", ("q4",)),
+    ],
+)
+def test_cnot_fan_out_matches_sequential_cnots(control, targets):
+    rng = np.random.default_rng(908)
+    for _ in range(10):
+        s = _random_state(rng, ("q1", "q2", "q3", "q4", "q5"))
+        fused = apply_cnot(s, control, *targets)
+        sequential = s
+        for t in targets:
+            sequential = apply_cnot(sequential, control, t)
+        assert np.max(np.abs(fused.amps - sequential.amps)) <= EXACT_TOL
+        described = apply_circuit(s, [("cnot", control, *targets)])
+        assert np.array_equal(described.amps, fused.amps)
+
+
+@pytest.mark.parametrize(
+    "control, targets",
+    [("q1", ("q2", "q1")), ("q1", ("q2", "q3", "q2")), ("q1", ())],
+)
+def test_cnot_fan_out_rejects_bad_targets(control, targets):
+    s = basis_state(Register(("q1", "q2", "q3")), "100")
+    with pytest.raises(RegisterError):
+        apply_cnot(s, control, *targets)
+
+
+def test_outcome_probability_and_project_match_reference_formulas():
+    rng = np.random.default_rng(909)
+    labels = ("q1", "q2", "q3", "q4")
+    for _ in range(10):
+        s = _random_state(rng, labels)
+        for lab in labels:
+            for outcome in (0, 1):
+                p = outcome_probability(s, lab, outcome)
+                assert p == pytest.approx(
+                    _marginal_probability(s, lab, outcome), abs=EXACT_TOL
+                )
+                p_proj, post = project(s, lab, outcome)
+                assert p_proj == p
+                reference = _copy_and_zero_projection(s, lab, outcome)
+                assert np.max(np.abs(post.amps - reference)) <= EXACT_TOL
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+@pytest.mark.parametrize("kind", BELL_KINDS)
+def test_logic_bell_matches_kron_construction(n, kind):
+    gp, gm = make_ghz(n, "+").amps, make_ghz(n, "-").amps
+    sign = 1.0 if kind.endswith("+") else -1.0
+    if kind.startswith("phi"):
+        expected = (np.kron(gp, gp) + sign * np.kron(gm, gm)) / np.sqrt(2.0)
+    else:
+        expected = (np.kron(gp, gm) + sign * np.kron(gm, gp)) / np.sqrt(2.0)
+    assert np.array_equal(make_logic_bell(n, kind).amps, expected)
+
+
+def test_pure_state_copies_caller_arrays_and_adopted_arrays_are_read_only():
+    amps = np.array([1.0, 0.0, 0.0, 0.0], dtype=np.complex128)
+    s = PureState(Register(("q1", "q2")), amps)
+    amps[0], amps[3] = 0.0, 1.0
+    assert s.amplitude("00") == 1.0 and s.amplitude("11") == 0.0
+    assert not s.amps.flags.writeable
+    built = (
+        apply_cnot(apply_h(s, "q1"), "q1", "q2"),
+        project(make_bell("phi+"), "q1", 1)[1],
+        make_logic_bell(3, "psi-"),
+        discard(basis_state(Register(("q1", "q2")), "01"), ["q2"]),
+    )
+    for state in built:
+        assert not state.amps.flags.writeable
+        with pytest.raises(ValueError):
+            state.amps[0] = 0.0

@@ -77,7 +77,9 @@ def _ensemble_and_circuit(draw):
     labels = tuple(f"q{k}" for k in range(1, n + 1))
     gate = st.tuples(st.sampled_from(("h", "x", "z")), st.sampled_from(labels))
     if n > 1:
-        gate = gate | st.permutations(labels).map(lambda p: ("cnot", p[0], p[1]))
+        # one control fanning out to the next k modes of a permutation
+        fan_out = st.tuples(st.permutations(labels), st.integers(1, n - 1))
+        gate = gate | fan_out.map(lambda pk: ("cnot", *pk[0][: pk[1] + 1]))
     ops = draw(st.lists(gate, min_size=1, max_size=32))
     weights = draw(st.lists(st.floats(0.05, 1.0), min_size=1, max_size=3))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -91,10 +93,17 @@ def _ensemble_and_circuit(draw):
 @settings(max_examples=300, deadline=None)
 @given(_ensemble_and_circuit())
 def test_engines_agree_on_random_circuits(case):
-    # the branch engine per branch against conjugation of the dense matrix
+    # the branch engine per branch against conjugation of the dense matrix,
+    # which takes each fan-out as its single-target CNOTs
     ensemble, ops = case
     branches = map_branches(ensemble, lambda s: apply_circuit(s, ops))
-    evolved = evolve_density(to_density_matrix(ensemble), ops)
+    single = []
+    for op in ops:
+        if op[0] == "cnot":
+            single.extend(("cnot", op[1], t) for t in op[2:])
+        else:
+            single.append(op)
+    evolved = evolve_density(to_density_matrix(ensemble), single)
     assert compare(branches, evolved) < ORACLE_TOL
 
 
