@@ -2,9 +2,11 @@
 
 Kernels reshape the amplitude vector to (2,)*n so register position k is
 tensor axis k. Each makes one pass into a fresh array, which the new state
-adopts uncopied; a CNOT fans out to all its targets in that one pass.
-Measured qubits stay in the register, projected onto the observed outcome;
-use discard() to drop spectator qubits that sit in a definite basis state.
+adopts uncopied. A CNOT fans out to all its targets in that pass, and a
+single-qubit gate is one matrix product. A joint measurement of a branch
+reads every outcome's probability in one reduction, then writes each kept
+outcome's slice, scaled, into one zeroed array. Measured qubits stay in the
+register; use discard() to drop qubits that sit in a definite basis state.
 """
 
 from __future__ import annotations
@@ -26,6 +28,9 @@ _X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
 _Y = np.array([[0, -1j], [1j, 0]], dtype=np.complex128)
 _Z = np.array([[1, 0], [0, -1]], dtype=np.complex128)
 _PAULI = {"I": np.eye(2, dtype=np.complex128), "X": _X, "Y": _Y, "Z": _Z}
+# up to this many trailing amplitudes, one product with mat (x) identity
+# beats a batched matmul, whose per-batch overhead then dominates
+_NARROW_REST = 16
 
 
 @dataclass(frozen=True)
@@ -44,11 +49,12 @@ class PauliString:
 
 def _apply_single(s: PureState, label: str, mat: np.ndarray) -> PureState:
     q = s.register.index_of(label)
-    n = s.n_qubits
-    t = s.amps.reshape((2,) * n)
-    t = np.tensordot(mat, t, axes=([1], [q]))
-    t = np.moveaxis(t, 0, q)
-    return PureState._adopt(s.register, t.reshape(-1))
+    rest = 2 ** (s.n_qubits - 1 - q)
+    if rest > _NARROW_REST:
+        out = np.matmul(mat, s.amps.reshape(2**q, 2, rest))
+    else:
+        out = s.amps.reshape(-1, 2 * rest) @ np.kron(mat.T, np.eye(rest))
+    return PureState._adopt(s.register, out.reshape(-1))
 
 
 def apply_h(s: PureState, label: str) -> PureState:
@@ -129,30 +135,51 @@ def project(s: PureState, label: str, outcome: int) -> tuple[float, PureState | 
     return p, PureState._adopt(s.register, out.reshape(-1))
 
 
+def _joint_probabilities(amps: np.ndarray, qs: Sequence[int]) -> np.ndarray:
+    """Joint outcome probabilities on positions qs, one axis each, from one
+    einsum over the float64 view: no |amps|^2 array is built. The re/im axis
+    is summed afterwards if the last position is measured, so that no inner
+    loop runs over just two entries."""
+    n = amps.size.bit_length() - 1
+    ordered = sorted(qs)
+    tail = ordered[-1] == n - 1
+    v = amps.view(np.float64).reshape((2,) * (n + 1))
+    probs = np.einsum(v, range(n + 1), v, range(n + 1), ordered + [n] * tail)
+    if tail:
+        probs = probs.sum(axis=-1)
+    return probs.transpose([ordered.index(q) for q in qs])
+
+
 def measure_ensemble(
     e: Ensemble, labels: Sequence[str]
 ) -> dict[tuple[int, ...], tuple[float, Ensemble]]:
     """Joint measurement of several qubits across all branches.
 
     Returns {outcome tuple: (probability, renormalized ensemble)} with
-    probabilities weighted by branch weights. Outcome keys are sorted.
+    probabilities weighted by branch weights. Bit i of a key is the outcome
+    of labels[i], and keys are sorted. OUTCOME_EPS cuts the joint
+    probability of an outcome within each branch. A repeated or unknown
+    label raises RegisterError.
     """
     if not labels:
         raise ValueError("need at least one label")
+    qs = e.register.positions(labels)
+    if len(set(qs)) != len(qs):
+        raise RegisterError(f"repeated label in {list(labels)}")
     total = e.weight_sum
     collected: dict[tuple[int, ...], list[tuple[float, PureState]]] = {}
     for w, s in e.branches:
-        partial: list[tuple[tuple[int, ...], float, PureState]] = [((), w, s)]
-        for lab in labels:
-            nxt = []
-            for outcome_prefix, wp, sp in partial:
-                for outcome in (0, 1):
-                    p, post = project(sp, lab, outcome)
-                    if post is not None:
-                        nxt.append((outcome_prefix + (outcome,), wp * p, post))
-            partial = nxt
-        for outcome_bits, wp, sp in partial:
-            collected.setdefault(outcome_bits, []).append((wp, sp))
+        probs = _joint_probabilities(s.amps, qs)
+        src = s.amps.reshape((2,) * s.n_qubits)
+        for bits in zip(*np.nonzero(probs > OUTCOME_EPS)):
+            at = dict(zip(qs, bits))
+            # the trailing ... keeps the slice a view when every qubit is measured
+            sel = tuple(at.get(q, slice(None)) for q in range(s.n_qubits)) + (...,)
+            p = float(probs[bits])
+            kept = np.zeros_like(src)
+            np.divide(src[sel], np.sqrt(p), out=kept[sel])
+            post = PureState._adopt(s.register, kept.reshape(-1))
+            collected.setdefault(tuple(map(int, bits)), []).append((w * p, post))
     out: dict[tuple[int, ...], tuple[float, Ensemble]] = {}
     for outcome_bits in sorted(collected):
         branches = collected[outcome_bits]
@@ -165,28 +192,29 @@ def measure_ensemble(
 def discard(s: PureState, labels: Sequence[str]) -> PureState:
     """Drop qubits that sit in a definite computational basis state.
 
-    Rejects qubits still in superposition or entangled with the rest, since
-    discarding those would not leave a pure state.
+    One reduction tests them all. Rejects qubits still in superposition or
+    entangled with the rest, since discarding those would not leave a pure
+    state.
     """
     drop = set(labels)
     if not drop:
         return s
-    sel: list[slice | int] = []
-    for lab in s.register.labels:
-        if lab not in drop:
-            sel.append(slice(None))
-            continue
-        p1 = outcome_probability(s, lab, 1)
-        if OUTCOME_EPS < p1 < 1.0 - OUTCOME_EPS:
-            raise RegisterError(f"qubit {lab!r} is not in a definite basis state")
-        sel.append(int(p1 > OUTCOME_EPS))
     missing = drop - set(s.register.labels)
     if missing:
         raise RegisterError(f"labels {sorted(missing)} not in register")
     keep = tuple(lab for lab in s.register.labels if lab not in drop)
     if not keep:
         raise RegisterError("cannot discard every qubit")
-    sub = s.amps.reshape((2,) * s.n_qubits)[tuple(sel)].reshape(-1)
+    labs = [lab for lab in s.register.labels if lab in drop]
+    probs = _joint_probabilities(s.amps, s.register.positions(labs))
+    bits = np.unravel_index(np.argmax(probs), probs.shape)
+    if probs.sum() - probs[bits] > OUTCOME_EPS:
+        for lab in labs:  # only to name the offender
+            if OUTCOME_EPS < outcome_probability(s, lab, 1) < 1.0 - OUTCOME_EPS:
+                raise RegisterError(f"qubit {lab!r} is not in a definite basis state")
+    picked = dict(zip(labs, map(int, bits)))
+    sel = tuple(picked.get(lab, slice(None)) for lab in s.register.labels)
+    sub = s.amps.reshape((2,) * s.n_qubits)[sel].reshape(-1)
     return PureState._adopt(Register(keep), sub / np.linalg.norm(sub))
 
 

@@ -138,20 +138,6 @@ def postselect_density(
     return p, DensityMatrix(dm.register, t.reshape(2**n, 2**n))
 
 
-def _postselect_equal(t: np.ndarray, n: int, qc: int, qd: int) -> float:
-    """Keep the equal-outcome events on qubits qc, qd, in place.
-
-    Leaves sum over x of P_x rho P_x, with P_x projecting qc and qd onto
-    |x x>: every block whose ket or bra reads two different bits on (qc, qd),
-    or whose ket and bra read different x, is zeroed. Returns the trace that
-    remains, which is the success probability.
-    """
-    for bits in itertools.product((0, 1), repeat=4):
-        if len(set(bits)) > 1:
-            _zero_block(t, dict(zip((qc, qd, n + qc, n + qd), bits)))
-    return float(np.trace(t.reshape(2**n, 2**n)).real)
-
-
 def compare(e: Ensemble, dm: DensityMatrix) -> float:
     """Largest entrywise deviation between an ensemble and a density matrix."""
     own = to_density_matrix(e)
@@ -216,11 +202,16 @@ def oracle_purify_round(
     reg = make_register([("a", n), ("b", n), ("c", 1), ("d", 1)])
     t = np.kron(rho, sacrificed).reshape((2,) * (2 * size))
     _apply_ops(t, size, [("cnot", "a1", "c1"), ("cnot", "b1", "d1")], reg)
-    p_total = _postselect_equal(t, size, reg.index_of("c1"), reg.index_of("d1"))
+    # Post-selecting equal outcomes on (c1, d1), the last two axes of ket and
+    # bra, and tracing them out leaves the sum over x of <xx|rho|xx>: only
+    # the blocks where ket and bra both read 00, or both read 11.
+    t4 = t.reshape(dim, 4, dim, 4)
+    kept = t4[:, 0, :, 0] + t4[:, 3, :, 3]
+    p_total = float(np.trace(kept).real)
     if p_total <= _IMPOSSIBLE:
         return 0.0, 0.0, DensityMatrix(reg_ab, np.zeros(rho.shape))
 
-    kept = np.einsum("icjc->ij", t.reshape(dim, 4, dim, 4)) / p_total
+    kept /= p_total
     _apply_ops(kept.reshape((2,) * (4 * n)), 2 * n, heads + fan_out, reg_ab)
     target = make_logic_bell(n, "phi+").amps
     fid = float(np.vdot(target, kept @ target).real)

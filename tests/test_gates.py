@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from ghzpurify import gates
 from ghzpurify.errors import RegisterError
 from ghzpurify.gates import (
+    OUTCOME_EPS,
     PauliString,
     apply_circuit,
     apply_cnot,
@@ -309,3 +311,139 @@ def test_pure_state_copies_caller_arrays_and_adopted_arrays_are_read_only():
         assert not state.amps.flags.writeable
         with pytest.raises(ValueError):
             state.amps[0] = 0.0
+
+
+# Reference kernels the long way: a single-qubit gate by tensordot and the
+# moveaxis copy, and a joint measurement as a tree of one-qubit projections.
+
+
+def _tensordot_single(s, label, mat):
+    q = s.register.index_of(label)
+    t = np.tensordot(mat, s.amps.reshape((2,) * s.n_qubits), axes=([1], [q]))
+    return np.moveaxis(t, 0, q).reshape(-1)
+
+
+def _measure_by_projection_tree(e, labels):
+    total = e.weight_sum
+    collected = {}
+    for w, s in e.branches:
+        partial = [((), w, s)]
+        for lab in labels:
+            nxt = []
+            for prefix, wp, sp in partial:
+                for outcome in (0, 1):
+                    p, post = project(sp, lab, outcome)
+                    if post is not None:
+                        nxt.append((prefix + (outcome,), wp * p, post))
+            partial = nxt
+        for bits, wp, sp in partial:
+            collected.setdefault(bits, []).append((wp, sp))
+    out = {}
+    for bits in sorted(collected):
+        branches = collected[bits]
+        prob = sum(w for w, _ in branches) / total
+        out[bits] = (prob, [(w / (prob * total), s) for w, s in branches])
+    return out
+
+
+def _assert_measurements_agree(e, labels):
+    joint = measure_ensemble(e, labels)
+    tree = _measure_by_projection_tree(e, labels)
+    assert list(joint) == list(tree)
+    for bits, (prob, ens) in joint.items():
+        ref_prob, ref_branches = tree[bits]
+        assert abs(prob - ref_prob) <= EXACT_TOL
+        assert len(ens.branches) == len(ref_branches)
+        for (w, s), (ref_w, ref_s) in zip(ens.branches, ref_branches):
+            assert abs(w - ref_w) <= EXACT_TOL
+            assert s.register == ref_s.register
+            assert np.max(np.abs(s.amps - ref_s.amps)) <= EXACT_TOL
+
+
+_SINGLE_GATES = {
+    "h": (apply_h, gates._H),
+    "x": (apply_x, gates._X),
+    "y": (lambda s, lab: apply_pauli(s, PauliString({lab: "Y"})), gates._Y),
+    "z": (apply_z, gates._Z),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SINGLE_GATES))
+def test_single_qubit_gates_match_tensordot_at_every_position(name):
+    # seven qubits leave 64 down to 1 trailing amplitudes behind the gated
+    # qubit, so both the batched and the narrow product are exercised
+    gate, mat = _SINGLE_GATES[name]
+    rng = np.random.default_rng(910)
+    labels = tuple(f"q{k}" for k in range(1, 8))
+    for _ in range(3):
+        s = _random_state(rng, labels)
+        for lab in labels:
+            ref = _tensordot_single(s, lab, mat)
+            assert np.max(np.abs(gate(s, lab).amps - ref)) <= EXACT_TOL
+
+
+@pytest.mark.parametrize("k", range(1, 6))
+def test_joint_measurement_matches_projection_tree(k):
+    rng = np.random.default_rng(911)
+    labels = ("q1", "q2", "q3", "q4", "q5")
+    for _ in range(4):
+        e = Ensemble(
+            ((0.7, _random_state(rng, labels)), (0.3, _random_state(rng, labels)))
+        )
+        picked = [labels[i] for i in rng.permutation(5)[:k]]
+        _assert_measurements_agree(e, picked)  # in a random order
+        _assert_measurements_agree(e, sorted(picked))
+
+
+def test_joint_measurement_of_every_qubit():
+    # each kept slice is a single amplitude
+    rng = np.random.default_rng(912)
+    s = _random_state(rng, ("q1", "q2", "q3"))
+    _assert_measurements_agree(Ensemble.pure(s), ["q2", "q3", "q1"])
+    outcomes = measure_ensemble(Ensemble.pure(s), ["q2", "q3", "q1"])
+    assert len(outcomes) == 8
+    prob, ens = outcomes[(1, 0, 1)]
+    assert prob == pytest.approx(abs(s.amplitude("110")) ** 2, abs=EXACT_TOL)
+    assert abs(ens.branches[0][1].amplitude("110")) == pytest.approx(1.0)
+
+
+def test_joint_measurement_drops_outcome_below_eps():
+    tiny = 1e-7  # probability 1e-14, below OUTCOME_EPS
+    amps = np.zeros(8, dtype=np.complex128)
+    amps[0b000], amps[0b110] = np.sqrt(1.0 - tiny**2), tiny
+    s = PureState(Register(("q1", "q2", "q3")), amps)
+    assert tiny**2 < OUTCOME_EPS
+    outcomes = measure_ensemble(Ensemble.pure(s), ["q1", "q2"])
+    assert list(outcomes) == [(0, 0)]
+    _assert_measurements_agree(Ensemble.pure(s), ["q1", "q2"])
+
+
+def test_outcome_keys_follow_label_order():
+    s = basis_state(Register(("q1", "q2", "q3")), "011")
+    e = Ensemble.pure(s)
+    assert list(measure_ensemble(e, ["q1", "q3"])) == [(0, 1)]
+    assert list(measure_ensemble(e, ["q3", "q1"])) == [(1, 0)]
+
+
+@pytest.mark.parametrize("labels", [["q1", "q1"], ["q2", "q9"]])
+def test_measure_ensemble_rejects_bad_labels_before_array_work(monkeypatch, labels):
+    def no_array_work(*args):
+        raise AssertionError("array work before the label check")
+
+    monkeypatch.setattr(gates, "_joint_probabilities", no_array_work)
+    e = Ensemble.pure(basis_state(Register(("q1", "q2")), "00"))
+    with pytest.raises(RegisterError):
+        measure_ensemble(e, labels)
+
+
+def test_discard_keeps_the_definite_block_and_names_the_offender():
+    rng = np.random.default_rng(913)
+    core = _random_state(rng, ("q2", "q4"))
+    # register q1 q2 q3 q4 with q1 in |1> and q3 in |0> around the core
+    full = np.einsum("a,bd,c->abcd", [0, 1], core.amps.reshape(2, 2), [1, 0])
+    s = PureState(Register(("q1", "q2", "q3", "q4")), full.reshape(-1))
+    kept = discard(s, ["q3", "q1"])
+    assert kept.register.labels == ("q2", "q4")
+    assert np.max(np.abs(kept.amps - core.amps)) <= EXACT_TOL
+    with pytest.raises(RegisterError, match="qubit 'q2' is not in a definite"):
+        discard(s, ["q1", "q2"])
