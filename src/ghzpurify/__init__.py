@@ -1,174 +1,8 @@
 """Exact simulation of logic Bell pairs built from GHZ blocks, their
 purification against logic and physical errors, and direct correction of
 single physical bit flips, plus a sampling harness and a dense
-density-matrix cross-check engine."""
+density-matrix cross-check engine.
 
-from .errors import ConfigError, RegisterError, UnsupportedInputError
-from .gates import (
-    OUTCOME_EPS,
-    PauliString,
-    apply_circuit,
-    apply_cnot,
-    apply_h,
-    apply_pauli,
-    apply_x,
-    apply_z,
-    discard,
-    measure_ensemble,
-    outcome_probability,
-    project,
-    reset_qubit,
-)
-from .harness import (
-    CSV_COLUMNS,
-    ExperimentConfig,
-    ResultRow,
-    SampleEstimate,
-    parse_config_file,
-    render_csv,
-    resolve_config,
-    run_correct,
-    run_purify,
-    run_sweep,
-    sample_purify,
-    shot_rng,
-    write_results,
-)
-from .noise import ErrorKind, ErrorModel, apply_error_model, error_operator
-from .oracle import (
-    compare,
-    evolve_density,
-    oracle_purify_round,
-    postselect_density,
-)
-from .protocol import (
-    BASES,
-    Modes,
-    ProtocolOutcome,
-    PurifyConfig,
-    Route,
-    bennett_step,
-    canonical_pair,
-    classify_and_route,
-    copy_modes,
-    correct_physical_bitflip,
-    iterate_rounds,
-    one_round_fidelity_map,
-    one_round_success_probability,
-    postselect_equal,
-    purify_round,
-    recover_logic,
-    reduce_copy,
-    run_routed,
-)
-from .states import (
-    BELL_KINDS,
-    DENSITY_MAX_QUBITS,
-    EXACT_TOL,
-    MAX_QUBITS,
-    ORACLE_TOL,
-    DensityMatrix,
-    Ensemble,
-    PureState,
-    Register,
-    basis_state,
-    dm_fidelity,
-    fidelity,
-    make_bell,
-    make_ghz,
-    make_logic_bell,
-    make_register,
-    map_branches,
-    overlap,
-    permute,
-    tensor,
-    tensor_ensembles,
-    to_density_matrix,
-    with_labels,
-)
-from .verify import CheckResult, run_verify
-
-__version__ = "0.1.0"
-
-__all__ = [
-    "BASES",
-    "BELL_KINDS",
-    "CSV_COLUMNS",
-    "CheckResult",
-    "ConfigError",
-    "DENSITY_MAX_QUBITS",
-    "DensityMatrix",
-    "Ensemble",
-    "ErrorKind",
-    "ErrorModel",
-    "EXACT_TOL",
-    "ExperimentConfig",
-    "MAX_QUBITS",
-    "Modes",
-    "ORACLE_TOL",
-    "OUTCOME_EPS",
-    "PauliString",
-    "ProtocolOutcome",
-    "PureState",
-    "PurifyConfig",
-    "Register",
-    "RegisterError",
-    "ResultRow",
-    "Route",
-    "SampleEstimate",
-    "UnsupportedInputError",
-    "apply_circuit",
-    "apply_cnot",
-    "apply_error_model",
-    "apply_h",
-    "apply_pauli",
-    "apply_x",
-    "apply_z",
-    "basis_state",
-    "bennett_step",
-    "canonical_pair",
-    "classify_and_route",
-    "compare",
-    "copy_modes",
-    "correct_physical_bitflip",
-    "discard",
-    "dm_fidelity",
-    "error_operator",
-    "evolve_density",
-    "fidelity",
-    "iterate_rounds",
-    "make_bell",
-    "make_ghz",
-    "make_logic_bell",
-    "make_register",
-    "map_branches",
-    "measure_ensemble",
-    "one_round_fidelity_map",
-    "one_round_success_probability",
-    "oracle_purify_round",
-    "outcome_probability",
-    "overlap",
-    "parse_config_file",
-    "permute",
-    "postselect_density",
-    "postselect_equal",
-    "project",
-    "purify_round",
-    "recover_logic",
-    "reduce_copy",
-    "render_csv",
-    "reset_qubit",
-    "resolve_config",
-    "run_correct",
-    "run_purify",
-    "run_routed",
-    "run_sweep",
-    "run_verify",
-    "sample_purify",
-    "shot_rng",
-    "tensor",
-    "tensor_ensembles",
-    "to_density_matrix",
-    "with_labels",
-    "write_results",
-]
+The package root exports nothing: import from the layer modules
+(ghzpurify.protocol, ghzpurify.harness, ...).
+"""

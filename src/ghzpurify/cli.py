@@ -15,7 +15,7 @@ import time
 
 import click
 
-from .errors import ConfigError, UnsupportedInputError
+from .errors import UnsupportedInputError
 from .harness import (
     ERROR_ALIASES,
     ExperimentConfig,
@@ -77,9 +77,6 @@ def _run(mode: str, config_path: str | None, flags: dict) -> None:
             rows = run_sweep(cfg)
         else:
             rows = run_correct(cfg)
-    except ConfigError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(2)
     except UnsupportedInputError as exc:
         click.echo(f"unsupported input: {exc}", err=True)
         sys.exit(3)

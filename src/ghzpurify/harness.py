@@ -272,8 +272,6 @@ def shot_rng(seed: int, stream: int, shot: int) -> np.random.Generator:
 class SampleEstimate:
     success_probability: float
     fidelity: float
-    kept_shots: int
-    shots: int
 
 
 @functools.cache
@@ -288,7 +286,7 @@ def _shot_tables(
     The tables are cached per (n, basis), so they are immutable: tuples and
     read-only CDF arrays.
     """
-    modes = copy_modes(n, "a", "b")
+    modes = copy_modes(n)
     prepared = [
         map_branches(
             canonical_pair(n, basis, f), lambda s: prepare_copy(s, modes, basis)
@@ -387,7 +385,7 @@ def sample_purify(
         raise ConfigError(
             f"no shot of {shots} was kept at n={n}, f={f}; use more shots"
         )
-    return SampleEstimate(kept / shots, fid_sum / kept, kept, shots)
+    return SampleEstimate(kept / shots, fid_sum / kept)
 
 
 def _purify_input(cfg: ExperimentConfig, f: float) -> tuple[str, Ensemble]:

@@ -57,16 +57,14 @@ class ErrorModel:
                 raise ValueError(f"position must be non-negative, got {self.position}")
 
 
-def _target_labels(model: ErrorModel, n: int, prefixes: tuple[str, str]) -> list[str]:
-    prefix = prefixes[0] if model.target == "A" else prefixes[1]
+def _target_labels(model: ErrorModel, n: int) -> list[str]:
+    prefix = "a" if model.target == "A" else "b"
     return [f"{prefix}{i}" for i in range(1, n + 1)]
 
 
-def error_operator(
-    model: ErrorModel, n: int, prefixes: tuple[str, str] = ("a", "b")
-) -> PauliString:
+def error_operator(model: ErrorModel, n: int) -> PauliString:
     """Concrete Pauli realization of the model on an n-per-logic-qubit register."""
-    labels = _target_labels(model, n, prefixes)
+    labels = _target_labels(model, n)
     if model.kind is ErrorKind.LOGIC_BITFLIP:
         pos = 0 if model.position is None else model.position
         if pos >= n:
@@ -80,9 +78,7 @@ def error_operator(
     return PauliString({labels[model.position]: pauli})
 
 
-def apply_error_model(
-    e: Ensemble, model: ErrorModel, n: int, prefixes: tuple[str, str] = ("a", "b")
-) -> Ensemble:
+def apply_error_model(e: Ensemble, model: ErrorModel, n: int) -> Ensemble:
     """Mix the untouched ensemble with its errored image.
 
     Output weights are fidelity and (1 - fidelity); a fidelity of exactly
@@ -91,7 +87,7 @@ def apply_error_model(
     f = model.fidelity
     if f == 1.0:
         return e
-    op = error_operator(model, n, prefixes)
+    op = error_operator(model, n)
     errored = map_branches(e, lambda s: apply_pauli(s, op))
     if f == 0.0:
         return errored

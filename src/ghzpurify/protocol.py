@@ -56,11 +56,11 @@ Modes = tuple[tuple[str, ...], tuple[str, ...]]
 BASES = ("bit", "phase")
 
 
-def copy_modes(n: int, a_prefix: str = "a", b_prefix: str = "b") -> Modes:
-    """Mode labels of one logic Bell pair: n for each logic qubit."""
+def copy_modes(n: int) -> Modes:
+    """Mode labels of one logic Bell pair: a1..an and b1..bn."""
     return (
-        tuple(f"{a_prefix}{i}" for i in range(1, n + 1)),
-        tuple(f"{b_prefix}{i}" for i in range(1, n + 1)),
+        tuple(f"a{i}" for i in range(1, n + 1)),
+        tuple(f"b{i}" for i in range(1, n + 1)),
     )
 
 
@@ -254,7 +254,7 @@ def lift_kept(kept: Ensemble, modes: Modes) -> tuple[Ensemble, float]:
 
 
 def _run_single_round(n: int, basis: str, pair: Ensemble) -> ProtocolOutcome:
-    modes = copy_modes(n, "a", "b")
+    modes = copy_modes(n)
     expected = modes[0] + modes[1]
     if pair.register.labels != expected:
         raise RegisterError(

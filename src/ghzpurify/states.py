@@ -58,9 +58,6 @@ class Register:
     def n_qubits(self) -> int:
         return len(self.labels)
 
-    def __contains__(self, label: str) -> bool:
-        return label in self._index
-
     def index_of(self, label: str) -> int:
         try:
             return self._index[label]
@@ -170,12 +167,11 @@ def make_ghz(n: int, sign: str = "+", prefix: str = "g") -> PureState:
     return PureState._adopt(make_register([(prefix, n)]), amps)
 
 
-def make_logic_bell(
-    n: int, kind: str, prefixes: tuple[str, str] = ("a", "b")
-) -> PureState:
+def make_logic_bell(n: int, kind: str) -> PureState:
     """Logic Bell state on 2n qubits, each logic qubit an n-qubit GHZ block.
 
-    The first n register qubits form logic qubit A, the last n logic qubit B:
+    The first n register qubits, a1..an, form logic qubit A, the last n,
+    b1..bn, logic qubit B:
         phi+/- = (G+ G+ +- G- G-)/sqrt2
         psi+/- = (G+ G- +- G- G+)/sqrt2
     with G+- the n-qubit GHZ states.
@@ -192,7 +188,7 @@ def make_logic_bell(
     amps = np.zeros(4**n, dtype=np.complex128)
     end = 2**n - 1  # non-zero only where each block reads all 0 or all 1
     amps.reshape(2**n, 2**n)[::end, ::end] = corner / _SQRT2
-    reg = make_register([(prefixes[0], n), (prefixes[1], n)])
+    reg = make_register([("a", n), ("b", n)])
     return PureState._adopt(reg, amps)
 
 
@@ -262,8 +258,8 @@ class Ensemble:
             raise ValueError(f"weights sum to {self.weight_sum} > 1")
 
     @staticmethod
-    def pure(state: PureState, weight: float = 1.0) -> Ensemble:
-        return Ensemble(((weight, state),))
+    def pure(state: PureState) -> Ensemble:
+        return Ensemble(((1.0, state),))
 
     @property
     def register(self) -> Register:
@@ -320,20 +316,8 @@ class DensityMatrix:
     def n_qubits(self) -> int:
         return self.register.n_qubits
 
-    def validate(self, tol: float = EXACT_TOL, check_psd: bool = False) -> None:
-        """Raise if not Hermitian/unit-trace (and PSD when requested)."""
-        m = self.matrix
-        if np.max(np.abs(m - m.conj().T)) > tol:
-            raise ValueError("matrix is not Hermitian")
-        if abs(np.trace(m).real - 1.0) > tol or abs(np.trace(m).imag) > tol:
-            raise ValueError(f"trace is {np.trace(m)}, expected 1")
-        if check_psd:
-            eigs = np.linalg.eigvalsh(m)
-            if eigs.min() < -ORACLE_TOL:
-                raise ValueError(f"negative eigenvalue {eigs.min()}")
 
-
-def to_density_matrix(e: Ensemble, normalize: bool = False) -> DensityMatrix:
+def to_density_matrix(e: Ensemble) -> DensityMatrix:
     """Sum of weighted branch projectors; trace equals the weight sum."""
     if not e.branches:
         raise ValueError("cannot build a density matrix from an empty ensemble")
@@ -341,12 +325,4 @@ def to_density_matrix(e: Ensemble, normalize: bool = False) -> DensityMatrix:
     mat = np.zeros((dim, dim), dtype=np.complex128)
     for w, s in e.branches:
         mat += w * np.outer(s.amps, s.amps.conj())
-    if normalize:
-        mat /= np.trace(mat).real
     return DensityMatrix(e.register, mat)
-
-
-def dm_fidelity(dm: DensityMatrix, target: PureState) -> float:
-    """<target| rho |target>, the standard pure-target fidelity."""
-    _check_same_register(dm.register, target.register)
-    return float(np.vdot(target.amps, dm.matrix @ target.amps).real)

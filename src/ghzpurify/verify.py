@@ -31,6 +31,7 @@ from .protocol import (
 from .states import (
     BELL_KINDS,
     EXACT_TOL,
+    MAX_QUBITS,
     ORACLE_TOL,
     Ensemble,
     PureState,
@@ -136,7 +137,7 @@ def check_reduction_concentrates(ns: tuple[int, ...]) -> CheckResult:
     Bell pair on the first modes, all other modes exactly |0>."""
     dev = 0.0
     for n in ns:
-        modes = copy_modes(n, "a", "b")
+        modes = copy_modes(n)
         for kind in BELL_KINDS:
             got = reduce_copy(make_logic_bell(n, kind), modes)
             bell = make_bell(kind, ("a1", "b1"))
@@ -150,7 +151,7 @@ def check_reduction_concentrates(ns: tuple[int, ...]) -> CheckResult:
 def check_recovery_inverts_reduction(ns: tuple[int, ...]) -> CheckResult:
     dev = 0.0
     for n in ns:
-        modes = copy_modes(n, "a", "b")
+        modes = copy_modes(n)
         for kind in BELL_KINDS:
             original = make_logic_bell(n, kind)
             reduced = reduce_copy(original, modes)
@@ -327,9 +328,18 @@ CHECK_FUNCS: list[Callable[[tuple[int, ...]], CheckResult]] = [
 
 
 def run_verify(max_n: int = 3, oracle: bool = False) -> list[CheckResult]:
-    """Run every check for n = 2 .. max_n; oracle adds the dense cross-check."""
+    """Run every check for n = 2 .. max_n; oracle adds the dense cross-check.
+
+    A max_n whose 2n-qubit pairs exceed the register cap is refused before
+    any check runs.
+    """
     if max_n < 2:
         raise ValueError("max_n must be at least 2")
+    if 2 * max_n > MAX_QUBITS:
+        raise ValueError(
+            f"verify at n={max_n} needs {2 * max_n} qubits;"
+            f" registers are capped at {MAX_QUBITS}"
+        )
     ns = tuple(range(2, max_n + 1))
     results = [func(ns) for func in CHECK_FUNCS]
     if oracle:

@@ -254,7 +254,7 @@ def test_criterion_8_monte_carlo_consistency(tmp_path):
     p = one_round_success_probability(0.8)
     fid = one_round_fidelity_map(0.8)
     se_p = math.sqrt(p * (1 - p) / shots)
-    se_f = math.sqrt(fid * (1 - fid) / est.kept_shots)
+    se_f = math.sqrt(fid * (1 - fid) / round(est.success_probability * shots))
     z_p = abs(est.success_probability - p) / se_p
     z_f = abs(est.fidelity - fid) / se_f
     cfg = ExperimentConfig(

@@ -115,6 +115,7 @@ def test_flip_position_outside_the_modes_exits_2(runner, command, position):
             "sweep at n=12 needs 26 qubits",
         ),
         (["correct", "--n", "13", "--flip-position", "2"], "correct at n=13 needs 26 qubits"),
+        (["verify", "--n", "13"], "verify at n=13 needs 26 qubits"),
     ],
 )
 def test_oversize_block_refused_before_any_state_is_built(
@@ -123,8 +124,8 @@ def test_oversize_block_refused_before_any_state_is_built(
     def fail(*_args, **_kwargs):
         raise AssertionError("a state was built before the size check")
 
-    monkeypatch.setattr(ghzpurify.states, "make_logic_bell", fail)
-    monkeypatch.setattr(ghzpurify.protocol, "make_logic_bell", fail)
+    for module in (ghzpurify.states, ghzpurify.protocol, ghzpurify.verify):
+        monkeypatch.setattr(module, "make_logic_bell", fail)
     result = runner.invoke(main, args)
     assert result.exit_code == 2
     assert result.stdout == ""

@@ -24,6 +24,7 @@ from ghzpurify.states import (
     make_register,
     map_branches,
     to_density_matrix,
+    with_labels,
 )
 
 
@@ -147,9 +148,8 @@ def test_postselect_density_validates_outcome():
 
 def test_compare_register_mismatch():
     e = Ensemble.pure(make_logic_bell(2, "phi+"))
-    other = to_density_matrix(
-        Ensemble.pure(make_logic_bell(2, "phi+", prefixes=("x", "y")))
-    )
+    foreign = with_labels(make_logic_bell(2, "phi+"), ("x1", "x2", "y1", "y2"))
+    other = to_density_matrix(Ensemble.pure(foreign))
     with pytest.raises(RegisterError):
         compare(e, other)
 
@@ -241,7 +241,10 @@ def test_oracle_rejects_dirty_ancilla(monkeypatch, basis):
 def test_oracle_output_is_valid_state():
     _, _, dm = oracle_purify_round(2, "bit", 0.8)
     assert dm.register.labels == ("a1", "a2", "b1", "b2")
-    dm.validate(tol=1e-10, check_psd=True)
+    m = dm.matrix
+    assert np.max(np.abs(m - m.conj().T)) <= 1e-10
+    assert abs(np.trace(m) - 1.0) <= 1e-10
+    assert np.linalg.eigvalsh(m).min() >= -1e-10
 
 
 def test_oracle_handles_pure_limits():

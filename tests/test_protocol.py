@@ -30,6 +30,7 @@ from ghzpurify.states import (
     overlap,
     permute,
     tensor,
+    with_labels,
 )
 
 
@@ -227,7 +228,8 @@ def test_phase_round_chained_purifies():
 
 
 def test_run_single_round_register_check():
-    pair = Ensemble.pure(make_logic_bell(2, "phi+", prefixes=("x", "y")))
+    foreign = with_labels(make_logic_bell(2, "phi+"), ("x1", "x2", "y1", "y2"))
+    pair = Ensemble.pure(foreign)
     cfg = PurifyConfig(n=2, error_basis="bit", input_fidelity=0.8, rounds=1)
     with pytest.raises(RegisterError):
         purify_round(cfg, input_pair=pair)
