@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import sys
 import time
+from importlib import metadata
 
 import click
 
@@ -86,8 +87,21 @@ def _run(mode: str, config_path: str | None, flags: dict) -> None:
     _finish(cfg, rows, started)
 
 
+def _show_version(ctx: click.Context, _param: click.Parameter, value: bool) -> None:
+    """Print the installed version; a source tree has none to read."""
+    if not value or ctx.resilient_parsing:
+        return
+    try:
+        version = metadata.version("ghzpurify")
+    except metadata.PackageNotFoundError:
+        version = "unknown (ghzpurify is not installed)"
+    click.echo(f"{ctx.find_root().info_name}, version {version}")
+    ctx.exit()
+
+
 @click.group()
-@click.version_option(package_name="ghzpurify")
+@click.option("--version", is_flag=True, expose_value=False, is_eager=True,
+              callback=_show_version, help="Show the version and exit.")
 def main() -> None:
     """Exact simulator and experiment harness for purifying logic Bell pairs
     built from concatenated GHZ blocks."""

@@ -70,10 +70,24 @@ def apply_z(s: PureState, label: str) -> PureState:
 
 
 def apply_pauli(s: PureState, p: PauliString) -> PureState:
+    """Apply every X and Z factor in one pass: one flip over the X axes, then
+    one sign multiply over the Z axes. Y factors go one label at a time."""
     for lab, name in p.ops.items():
-        if name != "I":
-            s = _apply_single(s, lab, _PAULI[name])
-    return s
+        if name == "Y":
+            s = _apply_single(s, lab, _Y)
+    xs = s.register.positions([lab for lab, name in p.ops.items() if name == "X"])
+    zs = s.register.positions([lab for lab, name in p.ops.items() if name == "Z"])
+    if not xs and not zs:
+        return s
+    n = s.n_qubits
+    out = np.flip(s.amps.reshape((2,) * n), axis=tuple(xs))
+    if zs:
+        # (-1)^(sum of the Z bits), broadcast from 2 entries per Z axis
+        sign = np.ones([2 if q in zs else 1 for q in range(n)])
+        for q in zs:
+            np.moveaxis(sign, q, 0)[1] *= -1.0
+        out = out * sign
+    return PureState._adopt(s.register, np.ascontiguousarray(out).reshape(-1))
 
 
 def apply_cnot(s: PureState, control: str, *targets: str) -> PureState:

@@ -9,18 +9,23 @@ a shot's three uniforms come from the one block with counter words
 (1, i, s mod 2**64, s >> 64) and key words (seed mod 2**64, seed >> 64); the
 uniform from output word w is (w >> 11) * 2**-53. `sample_purify` evaluates
 that block for a chunk of shots at once in numpy, reproducing `shot_rng`
-bit for bit, so seed and stream must lie in [0, 2**128). Each shot looks
-its outcome up in tables built by protocol's own prepare, compare and lift
-stages, so the sampler runs the same circuit as the exact engine; the
-tables depend only on (n, basis) and are built once each. The wall_time_ms
-CSV column is written as 0 to keep output files byte-reproducible; actual
-timing goes to stderr.
+bit for bit, so seed and stream must lie in [0, 2**128). Counter words 0, 2
+and 3 are the same for every shot of a call, so the products of the lanes
+they feed (both in round 1, M1's in round 2, M0's in round 3) are computed
+once per call as Python ints. A branch draw u >= f is decided on the integer
+word, as w >= ceil(f * 2**53) << 11, which no word reaches at f = 1. Each
+shot looks its outcome up in tables built by protocol's own prepare, compare
+and lift stages, so the sampler runs the same circuit as the exact engine;
+the tables depend only on (n, basis) and are built once each. The
+wall_time_ms CSV column is written as 0 to keep output files
+byte-reproducible; actual timing goes to stderr.
 """
 
 from __future__ import annotations
 
 import functools
 import json
+import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -31,6 +36,7 @@ from .noise import ErrorKind, ErrorModel
 from .protocol import (
     PurifyConfig,
     canonical_pair,
+    classify_and_route,
     compare_copies,
     copy_modes,
     correct_physical_bitflip,
@@ -39,7 +45,7 @@ from .protocol import (
     prepare_copy,
     route_noisy_pair,
 )
-from .states import MAX_QUBITS, Ensemble, map_branches
+from .states import MAX_QUBITS, map_branches
 
 CSV_COLUMNS = (
     "n",
@@ -68,6 +74,8 @@ for _kind in ErrorKind:
 # uint64 temporaries stay small.
 _KEY_LIMIT = 1 << 128
 _MASK64 = (1 << 64) - 1
+_MASK32 = (1 << 32) - 1
+_LOW32, _SHIFT32, _SHIFT11 = np.uint64(_MASK32), np.uint64(32), np.uint64(11)
 _PHILOX_ROUNDS = 10
 _PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
 _PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
@@ -310,41 +318,77 @@ def _shot_tables(
     return tuple(tables)
 
 
-def _mulhilo(a: int, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """High and low 64-bit words of the 128-bit products a * b."""
-    low32, shift = np.uint64(0xFFFFFFFF), np.uint64(32)
-    a_lo, a_hi = np.uint64(a & 0xFFFFFFFF), np.uint64(a >> 32)
-    b_lo, b_hi = b & low32, b >> shift
-    lh, hl = a_lo * b_hi, a_hi * b_lo
-    mid = (a_lo * b_lo >> shift) + (lh & low32) + (hl & low32)
-    hi = a_hi * b_hi + (lh >> shift) + (hl >> shift) + (mid >> shift)
+def _mulhilo(a: int, b: int | np.ndarray):
+    """High and low 64-bit words of the 128-bit product a * b.
+
+    A Python-int b gives Python ints: that is a lane whose counter word is
+    the same for every shot. An array b takes Knuth's carry form on 32-bit
+    halves, where no partial sum wraps.
+    """
+    if isinstance(b, int):
+        p = a * b
+        return p >> 64, p & _MASK64
+    a_lo, a_hi = np.uint64(a & _MASK32), np.uint64(a >> 32)
+    b_lo = b & _LOW32
+    b_hi = b >> _SHIFT32
+    u = a_hi * b_lo
+    b_lo *= a_lo
+    b_lo >>= _SHIFT32
+    u += b_lo
+    v = a_lo * b_hi
+    np.bitwise_and(u, _LOW32, out=b_lo)
+    v += b_lo
+    hi = b_hi
+    hi *= a_hi
+    u >>= _SHIFT32
+    hi += u
+    v >>= _SHIFT32
+    hi += v
     return hi, np.uint64(a) * b
 
 
-def _shot_uniforms(seed: int, stream: int, first: int, count: int) -> np.ndarray:
-    """Uniforms of shots first .. first + count - 1, shape (3, count).
+def _shot_words(seed: int, stream: int, first: int, count: int) -> list[np.ndarray]:
+    """The three output words of the Philox block of shots first .. first +
+    count - 1 that shot_rng(seed, stream, shot).random(3) reads.
 
-    Column k equals shot_rng(seed, stream, first + k).random(3); see the
-    module docstring for the counter and key layout.
+    A counter word that is the same for every shot stays a Python int, so
+    its products are computed once: both in round 1, M1's in round 2 and
+    M0's in round 3. The shot index enters round 1 only through an XOR.
     """
     ctr = [
-        np.ones(count, np.uint64),
-        np.arange(first, first + count, dtype=np.uint64),
-        np.full(count, stream & _MASK64, np.uint64),
-        np.full(count, stream >> 64, np.uint64),
+        1,
+        np.arange(count, dtype=np.uint64) + np.uint64(first),
+        stream & _MASK64,
+        stream >> 64,
     ]
-    key = [seed & _MASK64, seed >> 64]
+    k0, k1 = seed & _MASK64, seed >> 64
     for _ in range(_PHILOX_ROUNDS):
         hi0, lo0 = _mulhilo(_PHILOX_M[0], ctr[0])
         hi1, lo1 = _mulhilo(_PHILOX_M[1], ctr[2])
-        ctr = [
-            hi1 ^ ctr[1] ^ np.uint64(key[0]),
-            lo1,
-            hi0 ^ ctr[3] ^ np.uint64(key[1]),
-            lo0,
-        ]
-        key = [(k + w) & _MASK64 for k, w in zip(key, _PHILOX_W)]
-    return (np.stack(ctr[:3]) >> np.uint64(11)) * 2.0**-53
+        hi1 ^= ctr[1] ^ k0
+        hi0 ^= ctr[3] ^ k1
+        ctr = [hi1, lo1, hi0, lo0]
+        k0 = (k0 + _PHILOX_W[0]) & _MASK64
+        k1 = (k1 + _PHILOX_W[1]) & _MASK64
+    return ctr[:3]
+
+
+def _uniforms(w: np.ndarray) -> np.ndarray:
+    """numpy's double from a raw output word: (w >> 11) * 2**-53."""
+    return (w >> _SHIFT11) * 2.0**-53
+
+
+def _uniform_at_least(w: np.ndarray, f: float) -> np.ndarray:
+    """Whether _uniforms(w) >= f, decided on the integer words.
+
+    f * 2**53 is exact, and an integer w >> 11 reaches it exactly when w
+    reaches ceil(f * 2**53) << 11. At f = 1.0 that threshold is 2**64,
+    which no word reaches.
+    """
+    threshold = math.ceil(f * 2.0**53) << 11
+    if threshold > _MASK64:
+        return np.zeros(w.shape, dtype=bool)
+    return w >= np.uint64(threshold)
 
 
 def sample_purify(
@@ -358,28 +402,35 @@ def sample_purify(
     """
     if shots < 1:
         raise ValueError("sampling needs at least one shot")
+    if not 0.0 <= f <= 1.0:
+        raise ValueError(f"fidelity must lie in [0, 1], got {f}")
     for name, value in (("seed", seed), ("stream", stream)):
         if not 0 <= value < _KEY_LIMIT:
             raise ValueError(f"{name} must lie in [0, 2**128), got {value}")
     tables = _shot_tables(n, basis)
-    cdfs = np.array([cdf for cdf, _, _ in tables])
-    keeps = np.array([keep for _, keep, _ in tables])
-    fids = np.array([fid for _, _, fid in tables])
+    # cdf_at[j][b] is branch b's CDF at outcome j; cell 4*b + o indexes the rest
+    cdf_at = np.array([cdf for cdf, _, _ in tables]).T
+    keeps = np.array([keep for _, keep, _ in tables]).ravel()
+    fids = np.array([fid for _, _, fid in tables]).ravel()
     kept = 0
     fid_sum = 0.0
     for first in range(0, shots, _SHOT_CHUNK):
-        u = _shot_uniforms(seed, stream, first, min(_SHOT_CHUNK, shots - first))
-        branch = 2 * (u[0] >= f) + (u[1] >= f)
-        cdf = cdfs[branch]
-        # per shot, searchsorted(cdf, u2 * cdf[-1], side="right")
-        outcome = (cdf <= (u[2] * cdf[:, -1])[:, None]).sum(axis=1)
-        outcome = np.minimum(outcome, 3)
-        keep = keeps[branch, outcome]
-        kept += int(keep.sum())
+        w0, w1, w2 = _shot_words(seed, stream, first, min(_SHOT_CHUNK, shots - first))
+        branch = 2 * _uniform_at_least(w0, f)
+        branch += _uniform_at_least(w1, f)
+        # per shot, min(searchsorted(cdf, u2 * cdf[3], side="right"), 3); the
+        # CDF never decreases, so counting entries 0..2 alone gives the cap
+        x = _uniforms(w2)
+        x *= cdf_at[3].take(branch)
+        cell = 4 * branch
+        for column in cdf_at[:3]:
+            cell += column.take(branch) <= x
+        keep = keeps.take(cell)
+        kept += int(np.count_nonzero(keep))
         # a left-to-right running sum in shot order; np.sum adds pairwise,
         # which can change the last bit and tie it to the chunk size
         fid_sum = float(
-            np.add.accumulate(np.append(fid_sum, fids[branch, outcome][keep]))[-1]
+            np.add.accumulate(np.append(fid_sum, fids.take(cell[keep])))[-1]
         )
     if not kept:
         raise ConfigError(
@@ -388,14 +439,12 @@ def sample_purify(
     return SampleEstimate(kept / shots, fid_sum / kept)
 
 
-def _purify_input(cfg: ExperimentConfig, f: float) -> tuple[str, Ensemble]:
-    """Round-1 basis and input ensemble for the configured error kind."""
+def _error_model(cfg: ExperimentConfig, f: float) -> ErrorModel:
+    """The configured error kind on logic qubit B at fidelity f."""
     position = None
     if cfg.error.is_physical or cfg.flip_position is not None:
         position = (cfg.flip_position - 1) if cfg.flip_position is not None else 0
-    model = ErrorModel(kind=cfg.error, fidelity=f, target="B", position=position)
-    route, pair = route_noisy_pair(model, cfg.n)
-    return route.basis, pair
+    return ErrorModel(kind=cfg.error, fidelity=f, target="B", position=position)
 
 
 def run_purify(cfg: ExperimentConfig) -> list[ResultRow]:
@@ -430,16 +479,19 @@ def _sweep_rows(cfg: ExperimentConfig, grid: list[float]) -> list[ResultRow]:
     """
     rows: list[ResultRow] = []
     for i, f in enumerate(grid):
-        basis, pair = _purify_input(cfg, f)
+        model = _error_model(cfg, f)
         if cfg.shots == 0:
+            route, pair = route_noisy_pair(model, cfg.n)
             pcfg = PurifyConfig(
-                n=cfg.n, error_basis=basis, input_fidelity=f, rounds=cfg.rounds
+                n=cfg.n, error_basis=route.basis, input_fidelity=f, rounds=cfg.rounds
             )
             rounds = (
                 (out.fidelity, out.success_probability)
                 for out in iterate_rounds(pcfg, input_pair=pair)
             )
         else:
+            # the sampler reads its tables, never the noisy pair
+            basis = classify_and_route(model).basis
             rounds = _sampled_rounds(cfg, basis, f, i * cfg.rounds)
         f_in = f
         for r, (f_out, p) in enumerate(rounds, start=1):

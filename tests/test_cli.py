@@ -1,3 +1,5 @@
+import importlib.metadata
+
 import pytest
 from click.testing import CliRunner
 
@@ -266,3 +268,23 @@ def test_verify_rejects_small_n(runner):
 def test_unknown_subcommand_exits_2(runner):
     result = runner.invoke(main, ["distill"])
     assert result.exit_code == 2
+
+
+def test_version_of_an_installed_package(runner, monkeypatch):
+    versions = {"ghzpurify": "1.2.3"}
+    monkeypatch.setattr(importlib.metadata, "version", versions.__getitem__)
+    result = runner.invoke(main, ["--version"])
+    assert result.exit_code == 0
+    assert result.stdout.endswith(", version 1.2.3\n")
+
+
+def test_version_from_a_source_tree_that_is_not_installed(runner, monkeypatch):
+    def not_installed(name):
+        raise importlib.metadata.PackageNotFoundError(name)
+
+    monkeypatch.setattr(importlib.metadata, "version", not_installed)
+    result = runner.invoke(main, ["--version"])
+    assert result.exit_code == 0
+    assert result.stdout.endswith(
+        ", version unknown (ghzpurify is not installed)\n"
+    )

@@ -95,6 +95,23 @@ def test_pauli_string_application():
     assert abs(overlap(make_bell("phi-"), phase)) == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize(
+    "ops",
+    [
+        {"q1": "X", "q3": "X", "q6": "X"},
+        {"q2": "Z", "q4": "Z", "q5": "Z"},
+        {"q6": "X", "q1": "Z", "q4": "Y", "q5": "I", "q2": "X", "q3": "Z"},
+        {"q3": "I"},
+    ],
+)
+def test_pauli_string_equals_its_factors_one_label_at_a_time(ops):
+    s = _random_state(np.random.default_rng(914), [f"q{k}" for k in range(1, 7)])
+    ref = s
+    for lab, name in ops.items():
+        ref = gates._apply_single(ref, lab, gates._PAULI[name])
+    assert np.array_equal(apply_pauli(s, PauliString(ops)).amps, ref.amps)
+
+
 def test_pauli_string_rejects_unknown_op():
     with pytest.raises(ValueError):
         PauliString({"q1": "Q"})

@@ -12,7 +12,9 @@ from ghzpurify.harness import (
     ResultRow,
     _SHOT_CHUNK,
     _shot_tables,
-    _shot_uniforms,
+    _shot_words,
+    _uniform_at_least,
+    _uniforms,
     parse_config_file,
     render_csv,
     resolve_config,
@@ -248,6 +250,11 @@ def test_sample_purify_refuses_keys_outside_128_bits(seed, stream):
         sample_purify(2, "bit", 0.8, shots=10, seed=seed, stream=stream)
 
 
+def _shot_uniforms(seed, stream, first, count):
+    """Uniforms of shots first .. first + count - 1, shape (3, count)."""
+    return np.stack([_uniforms(w) for w in _shot_words(seed, stream, first, count)])
+
+
 @pytest.mark.parametrize("seed", [0, 5, 2**32 - 1, 2**64 + 5, 2**128 - 1])
 @pytest.mark.parametrize("stream", [0, 1, 2**70 + 3])
 def test_shot_uniforms_match_shot_rng_bit_for_bit(seed, stream):
@@ -257,6 +264,27 @@ def test_shot_uniforms_match_shot_rng_bit_for_bit(seed, stream):
     for count in (_SHOT_CHUNK - 1, _SHOT_CHUNK, _SHOT_CHUNK + 1):
         assert np.array_equal(_shot_uniforms(seed, stream, 0, count), want[:, :count])
     assert np.array_equal(_shot_uniforms(seed, stream, _SHOT_CHUNK, 1), want[:, -1:])
+    # shot indices past 32 bits and up to the last 64-bit counter word
+    for first in (2**32 - 3, 2**63 + 11, 2**64 - 6):
+        far = [shot_rng(seed, stream, first + k).random(3) for k in range(6)]
+        assert np.array_equal(_shot_uniforms(seed, stream, first, 6), np.array(far).T)
+
+
+@pytest.mark.parametrize("f", [0.0, 0.5, 1.0, 2**-60, 0.3, 0.8, 1.0 - 2**-53])
+def test_integer_branch_threshold_agrees_with_the_uniform_on_ties(f):
+    # uniforms on the 2**-53 grid at f, one step below it and one above it,
+    # each with the 11 discarded low bits all clear and all set
+    k = math.floor(f * 2**53)
+    grid = {g for g in (k - 1, k, k + 1) if 0 <= g < 2**53}
+    words = np.array(
+        [(g << 11) | low for g in sorted(grid) for low in (0, 2**11 - 1)], np.uint64
+    )
+    uniforms = [int(w >> 11) * 2**-53 for w in words]
+    assert any(u < f for u in uniforms) or f == 0.0
+    assert any(u >= f for u in uniforms) or f == 1.0
+    want = np.array([u >= f for u in uniforms])
+    assert np.array_equal(_uniform_at_least(words, f), want)
+    assert np.array_equal(_uniforms(words) >= f, want)
 
 
 def test_shot_tables_are_cached_and_read_only():
@@ -292,6 +320,20 @@ def test_sample_purify_equals_per_shot_loop_at_chunk_edges(shots):
     got = (est.success_probability, est.fidelity)
     assert got == _reference_sample(3, "phase", 0.7, shots, seed, stream)
     assert [type(x) for x in got] == [float, float]
+
+
+@pytest.mark.parametrize("f", [0.0, 1.0])
+def test_sample_purify_equals_per_shot_loop_at_pure_inputs(f):
+    # every branch draw sits on one side of f: the threshold of 1.0 is 2**64
+    est = sample_purify(2, "bit", f, shots=700, seed=2**64 + 5, stream=3)
+    got = (est.success_probability, est.fidelity)
+    assert got == _reference_sample(2, "bit", f, 700, 2**64 + 5, 3)
+
+
+@pytest.mark.parametrize("f", [-0.1, 1.5, math.nan])
+def test_sample_purify_refuses_fidelity_outside_0_1(f):
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        sample_purify(2, "bit", f, shots=10, seed=1)
 
 
 @pytest.mark.parametrize("basis", ["bit", "phase"])
