@@ -3,9 +3,10 @@
 Result tables go to stdout (or --out) as CSV and are byte-identical for a
 fixed config and seed; progress and timing go to stderr. Exit codes: 0 on
 success, 1 when a verification check fails, 2 for an invalid configuration
-(including a flip position outside 1..n and a sampled round that keeps none
-of its shots), 3 when the request is outside the protocol's domain (for
-example a flip on the control mode).
+(including a missing config file, an --out path that is a directory, whose
+directory is missing or whose suffix is .json, a flip position outside 1..n
+and a sampled round that keeps none of its shots), 3 when the request is
+outside the protocol's domain (for example a flip on the control mode).
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import click
 
 from .errors import UnsupportedInputError
 from .harness import (
+    CONFIG_KEYS,
     ERROR_ALIASES,
     ExperimentConfig,
     render_csv,
@@ -30,54 +32,38 @@ from .harness import (
 from .verify import run_verify
 
 
-def _common_options(fn):
-    fn = click.option("--config", "config_path", default=None, metavar="FILE",
-                      help="Flat key=value config file; explicit flags win.")(fn)
-    fn = click.option("--out", default=None, metavar="FILE",
-                      help="Write CSV here (plus a .json config sidecar) instead of stdout.")(fn)
-    fn = click.option("--seed", type=int, default=None, help="Sampling seed.")(fn)
-    fn = click.option("--n", "n", type=int, default=None,
-                      help="Physical qubits per logic qubit (>= 2).")(fn)
-    return fn
+def _options(mode: str):
+    """--config plus an option per config key that `mode` reads, each
+    defaulting to None so that a config file can fill it."""
+    def decorate(fn):
+        fn = click.option("--config", "config_path", default=None, metavar="FILE",
+                          type=click.Path(exists=True, dir_okay=False),
+                          help="Flat key=value config file; explicit flags win.")(fn)
+        for key, spec in reversed(CONFIG_KEYS.items()):
+            if mode in spec.modes:
+                kind = click.Choice(tuple(ERROR_ALIASES)) if key == "error" else spec.type
+                fn = click.option(f"--{key}", type=kind, default=None, help=spec.help)(fn)
+        return fn
 
-
-_error_option = click.option(
-    "--error", type=click.Choice(tuple(ERROR_ALIASES)), default=None,
-    help="Error kind mixed into the input pair (default logic-bit).")
-
-
-def _round_options(fn):
-    """--rounds, --shots and --flip-position, shared by purify and sweep."""
-    fn = click.option("--flip-position", type=int, default=None, metavar="K",
-                      help="1-based mode the physical error sits on (phys kinds).")(fn)
-    fn = click.option("--shots", type=int, default=None,
-                      help="Monte Carlo shots per round; 0 (default) runs exactly.")(fn)
-    fn = click.option("--rounds", type=int, default=None, help="Purification rounds.")(fn)
-    return fn
+    return decorate
 
 
 def _finish(cfg: ExperimentConfig, rows, started: float) -> None:
-    csv_text = render_csv(rows)
     if cfg.out:
         write_results(rows, cfg.out, cfg.as_dict())
         click.echo(f"wrote {len(rows)} rows to {cfg.out}", err=True)
     else:
-        click.echo(csv_text, nl=False)
+        click.echo(render_csv(rows), nl=False)
     elapsed_ms = (time.perf_counter() - started) * 1000.0
     click.echo(f"done in {elapsed_ms:.1f} ms", err=True)
 
 
-def _run(mode: str, config_path: str | None, flags: dict) -> None:
+def _run(mode: str, run, config_path: str | None, flags: dict) -> None:
     started = time.perf_counter()
     flag_values = {key.replace("_", "-"): val for key, val in flags.items()}
     try:
         cfg = resolve_config(mode, flag_values, config_path)
-        if mode == "purify":
-            rows = run_purify(cfg)
-        elif mode == "sweep":
-            rows = run_sweep(cfg)
-        else:
-            rows = run_correct(cfg)
+        rows = run(cfg)
     except UnsupportedInputError as exc:
         click.echo(f"unsupported input: {exc}", err=True)
         sys.exit(3)
@@ -108,37 +94,24 @@ def main() -> None:
 
 
 @main.command()
-@_error_option
-@click.option("--fidelity", type=float, default=None,
-              help="Input fidelity of each noisy pair.")
-@_round_options
-@_common_options
+@_options("purify")
 def purify(config_path, **flags) -> None:
     """Purify a noisy logic Bell pair at one input fidelity."""
-    _run("purify", config_path, flags)
+    _run("purify", run_purify, config_path, flags)
 
 
 @main.command()
-@_error_option
-@click.option("--f-min", type=float, default=None, help="Grid start fidelity.")
-@click.option("--f-max", type=float, default=None, help="Grid end fidelity.")
-@click.option("--steps", type=int, default=None, help="Number of grid points.")
-@_round_options
-@_common_options
+@_options("sweep")
 def sweep(config_path, **flags) -> None:
     """Sweep input fidelity over a uniform grid."""
-    _run("sweep", config_path, flags)
+    _run("sweep", run_sweep, config_path, flags)
 
 
 @main.command()
-@click.option("--flip-position", type=int, default=None, metavar="K",
-              help="1-based mode of logic qubit A carrying the bit flip.")
-@click.option("--fidelity", type=float, default=None,
-              help="Optional mixture weight of the clean pair (default 0).")
-@_common_options
+@_options("correct")
 def correct(config_path, **flags) -> None:
     """Correct a single physical bit flip inside one logic qubit."""
-    _run("correct", config_path, {**flags, "error": "phys-bit"})
+    _run("correct", run_correct, config_path, {**flags, "error": "phys-bit"})
 
 
 @main.command()

@@ -12,7 +12,7 @@ register; use discard() to drop qubits that sit in a definite basis state.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -25,9 +25,8 @@ OUTCOME_EPS = 1e-12
 _SQRT2 = np.sqrt(2.0)
 _H = np.array([[1, 1], [1, -1]], dtype=np.complex128) / _SQRT2
 _X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
-_Y = np.array([[0, -1j], [1j, 0]], dtype=np.complex128)
 _Z = np.array([[1, 0], [0, -1]], dtype=np.complex128)
-_PAULI = {"I": np.eye(2, dtype=np.complex128), "X": _X, "Y": _Y, "Z": _Z}
+_PAULI = {"X": _X, "Z": _Z}
 # up to this many trailing amplitudes, one product with mat (x) identity
 # beats a batched matmul, whose per-batch overhead then dominates
 _NARROW_REST = 16
@@ -71,10 +70,7 @@ def apply_z(s: PureState, label: str) -> PureState:
 
 def apply_pauli(s: PureState, p: PauliString) -> PureState:
     """Apply every X and Z factor in one pass: one flip over the X axes, then
-    one sign multiply over the Z axes. Y factors go one label at a time."""
-    for lab, name in p.ops.items():
-        if name == "Y":
-            s = _apply_single(s, lab, _Y)
+    one sign multiply over the Z axes."""
     xs = s.register.positions([lab for lab, name in p.ops.items() if name == "X"])
     zs = s.register.positions([lab for lab, name in p.ops.items() if name == "Z"])
     if not xs and not zs:
@@ -106,23 +102,6 @@ def apply_cnot(s: PureState, control: str, *targets: str) -> PureState:
     axes = tuple(t - 1 if t > c else t for t in ts)
     out[tuple(sel)] = np.flip(src[tuple(sel)], axis=axes)
     return PureState._adopt(s.register, out.reshape(-1))
-
-
-def apply_circuit(s: PureState, ops: Iterable[tuple]) -> PureState:
-    """Run ("h", q), ("x", q), ("z", q), ("cnot", c, t1, ...) descriptors in order."""
-    for op in ops:
-        kind = op[0]
-        if kind == "h":
-            s = apply_h(s, op[1])
-        elif kind == "x":
-            s = apply_x(s, op[1])
-        elif kind == "z":
-            s = apply_z(s, op[1])
-        elif kind == "cnot":
-            s = apply_cnot(s, op[1], *op[2:])
-        else:
-            raise ValueError(f"unknown op {op!r}")
-    return s
 
 
 def outcome_probability(s: PureState, label: str, outcome: int) -> float:

@@ -28,24 +28,23 @@ import json
 import math
 from dataclasses import dataclass, fields
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ConfigError
-from .noise import ErrorKind, ErrorModel
+from .noise import ErrorKind, ErrorModel, apply_error_model
 from .protocol import (
     PurifyConfig,
     canonical_pair,
-    classify_and_route,
     compare_copies,
     copy_modes,
     correct_physical_bitflip,
     iterate_rounds,
     lift_kept,
     prepare_copy,
-    route_noisy_pair,
 )
-from .states import MAX_QUBITS, map_branches
+from .states import MAX_QUBITS, Ensemble, make_logic_bell, map_branches
 
 CSV_COLUMNS = (
     "n",
@@ -84,19 +83,42 @@ _SHOT_CHUNK = 4096
 _MODES = ("purify", "sweep", "correct")
 _PURIFYING = ("purify", "sweep")
 
-# config-file key -> (value type, the modes that read it)
-_CONFIG_KEYS = {
-    "n": (int, _MODES),
-    "error": (str, _PURIFYING),
-    "fidelity": (float, ("purify", "correct")),
-    "f-min": (float, ("sweep",)),
-    "f-max": (float, ("sweep",)),
-    "steps": (int, ("sweep",)),
-    "rounds": (int, _PURIFYING),
-    "shots": (int, _PURIFYING),
-    "seed": (int, _MODES),
-    "out": (str, _MODES),
-    "flip-position": (int, _MODES),
+
+class ConfigKey(NamedTuple):
+    """One config-file key, which is also the option --key of every mode that reads it."""
+
+    type: type
+    modes: tuple[str, ...]
+    needed_by: tuple[str, ...]
+    help: str
+
+
+# The whole config surface, in CLI option order: parse_config_file,
+# resolve_config, ExperimentConfig.validate and every CLI option read it.
+CONFIG_KEYS = {
+    "error": ConfigKey(
+        str, _PURIFYING, (), "Error kind mixed into the input pair (default logic-bit)."
+    ),
+    "fidelity": ConfigKey(
+        float, ("purify", "correct"), ("purify",),
+        "Input fidelity: the clean pair's weight (correct defaults to 0).",
+    ),
+    "f-min": ConfigKey(float, ("sweep",), ("sweep",), "Grid start fidelity."),
+    "f-max": ConfigKey(float, ("sweep",), ("sweep",), "Grid end fidelity."),
+    "steps": ConfigKey(int, ("sweep",), ("sweep",), "Number of grid points."),
+    "rounds": ConfigKey(int, _PURIFYING, (), "Purification rounds."),
+    "shots": ConfigKey(
+        int, _PURIFYING, (), "Monte Carlo shots per round; 0 (default) runs exactly."
+    ),
+    "flip-position": ConfigKey(
+        int, _MODES, ("correct",),
+        "1-based mode of the physical error (on B; on A for correct).",
+    ),
+    "n": ConfigKey(int, _MODES, (), "Physical qubits per logic qubit (>= 2)."),
+    "seed": ConfigKey(int, _MODES, (), "Sampling seed."),
+    "out": ConfigKey(
+        str, _MODES, (), "Write CSV here (plus a .json config sidecar) instead of stdout."
+    ),
 }
 
 
@@ -189,28 +211,36 @@ class ExperimentConfig:
             )
         if self.fidelity is not None and not 0.0 <= self.fidelity <= 1.0:
             raise ConfigError(f"fidelity {self.fidelity} outside [0, 1]")
-        if self.mode == "purify" and self.fidelity is None:
-            raise ConfigError("purify needs --fidelity")
+        needed = [key for key, spec in CONFIG_KEYS.items() if self.mode in spec.needed_by]
+        if any(getattr(self, key.replace("-", "_")) is None for key in needed):
+            *rest, last = [f"--{key}" for key in needed]
+            listed = f"{', '.join(rest)} and {last}" if rest else last
+            raise ConfigError(f"{self.mode} needs {listed}")
         if self.mode == "sweep":
-            if self.f_min is None or self.f_max is None or self.steps is None:
-                raise ConfigError("sweep needs --f-min, --f-max and --steps")
             if not 0.0 <= self.f_min <= self.f_max <= 1.0:
                 raise ConfigError(
                     f"need 0 <= f-min <= f-max <= 1, got [{self.f_min}, {self.f_max}]"
                 )
             if self.steps < 1:
                 raise ConfigError(f"steps must be at least 1, got {self.steps}")
-        if self.mode == "correct":
-            if self.flip_position is None:
-                raise ConfigError("correct needs --flip-position")
-            if self.error is not ErrorKind.PHYS_BITFLIP:
-                raise ConfigError("correct only handles phys-bit errors")
-        elif self.error is ErrorKind.PHYS_BITFLIP:
-            raise ConfigError("phys-bit is handled by the correct command")
+        if (self.mode == "correct") != (self.error.basis is None):
+            raise ConfigError(
+                "correct only handles phys-bit errors" if self.mode == "correct"
+                else "phys-bit is handled by the correct command"
+            )
         if self.flip_position is not None and not 1 <= self.flip_position <= self.n:
             raise ConfigError(
                 f"flip-position must name a mode 1..{self.n}, got {self.flip_position}"
             )
+        if self.out:
+            out = Path(self.out)
+            # write_results puts the sidecar at out with a .json suffix
+            if out.suffix == ".json":
+                raise ConfigError(f"out {out} would be overwritten by its .json sidecar")
+            if not out.parent.is_dir():
+                raise ConfigError(f"out {out}: directory {out.parent} does not exist")
+            if out.is_dir():
+                raise ConfigError(f"out {out} is a directory")
 
     def as_dict(self) -> dict:
         d = {}
@@ -231,10 +261,12 @@ def parse_config_file(path: str) -> dict:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
         key, _, val = line.partition("=")
         key, val = key.strip(), val.strip()
-        if key not in _CONFIG_KEYS:
+        if key not in CONFIG_KEYS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        if key in values:
+            raise ConfigError(f"{path}:{lineno}: key {key!r} is already set")
         try:
-            values[key] = _CONFIG_KEYS[key][0](val)
+            values[key] = CONFIG_KEYS[key].type(val)
         except ValueError:
             raise ConfigError(f"{path}:{lineno}: bad value {val!r} for {key}") from None
     return values
@@ -248,7 +280,7 @@ def resolve_config(mode: str, flag_values: dict, config_path: str | None) -> Exp
     merged: dict = {}
     if config_path is not None:
         merged.update(parse_config_file(config_path))
-        foreign = [key for key in merged if mode not in _CONFIG_KEYS[key][1]]
+        foreign = [key for key in merged if mode not in CONFIG_KEYS[key].modes]
         if foreign:
             raise ConfigError(
                 f"{config_path}: key {foreign[0]!r} is not used by {mode}"
@@ -439,12 +471,14 @@ def sample_purify(
     return SampleEstimate(kept / shots, fid_sum / kept)
 
 
-def _error_model(cfg: ExperimentConfig, f: float) -> ErrorModel:
-    """The configured error kind on logic qubit B at fidelity f."""
+def _noisy_pair(cfg: ExperimentConfig, f: float, target: str) -> Ensemble:
+    """A phi+ pair with the configured error on logic qubit `target` at
+    fidelity f; a physical error without a flip position sits on mode 1."""
     position = None
     if cfg.error.is_physical or cfg.flip_position is not None:
         position = (cfg.flip_position - 1) if cfg.flip_position is not None else 0
-    return ErrorModel(kind=cfg.error, fidelity=f, target="B", position=position)
+    model = ErrorModel(kind=cfg.error, fidelity=f, target=target, position=position)
+    return apply_error_model(Ensemble.pure(make_logic_bell(cfg.n, "phi+")), model, cfg.n)
 
 
 def run_purify(cfg: ExperimentConfig) -> list[ResultRow]:
@@ -462,12 +496,11 @@ def _row(
     return ResultRow(cfg.n, cfg.error.value, r, f_in, f_out, p, shots, cfg.seed)
 
 
-def _sampled_rounds(cfg: ExperimentConfig, basis: str, f: float, stream: int):
+def _sampled_rounds(cfg: ExperimentConfig, f: float, stream: int):
     """(fidelity, success) of each sampled round, one Philox stream per round."""
     for r in range(cfg.rounds):
-        est = sample_purify(
-            cfg.n, basis if r == 0 else "bit", f, cfg.shots, cfg.seed, stream + r
-        )
+        basis = cfg.error.basis if r == 0 else "bit"
+        est = sample_purify(cfg.n, basis, f, cfg.shots, cfg.seed, stream + r)
         f = est.fidelity
         yield est.fidelity, est.success_probability
 
@@ -479,11 +512,10 @@ def _sweep_rows(cfg: ExperimentConfig, grid: list[float]) -> list[ResultRow]:
     """
     rows: list[ResultRow] = []
     for i, f in enumerate(grid):
-        model = _error_model(cfg, f)
         if cfg.shots == 0:
-            route, pair = route_noisy_pair(model, cfg.n)
+            pair = _noisy_pair(cfg, f, "B")
             pcfg = PurifyConfig(
-                n=cfg.n, error_basis=route.basis, input_fidelity=f, rounds=cfg.rounds
+                n=cfg.n, error_basis=cfg.error.basis, input_fidelity=f, rounds=cfg.rounds
             )
             rounds = (
                 (out.fidelity, out.success_probability)
@@ -491,8 +523,7 @@ def _sweep_rows(cfg: ExperimentConfig, grid: list[float]) -> list[ResultRow]:
             )
         else:
             # the sampler reads its tables, never the noisy pair
-            basis = classify_and_route(model).basis
-            rounds = _sampled_rounds(cfg, basis, f, i * cfg.rounds)
+            rounds = _sampled_rounds(cfg, f, i * cfg.rounds)
         f_in = f
         for r, (f_out, p) in enumerate(rounds, start=1):
             rows.append(_row(cfg, r, f_in, f_out, p, cfg.shots))
@@ -508,12 +539,8 @@ def run_correct(cfg: ExperimentConfig) -> list[ResultRow]:
     and deterministic, so rows always carry shots = 0.
     """
     f = 0.0 if cfg.fidelity is None else cfg.fidelity
-    position = cfg.flip_position - 1
-    model = ErrorModel(
-        kind=ErrorKind.PHYS_BITFLIP, fidelity=f, target="A", position=position
-    )
-    _, pair = route_noisy_pair(model, cfg.n)
     outcome = correct_physical_bitflip(
-        pair, suspected_logic_qubit="A", path="qnd", flip_position=position
+        _noisy_pair(cfg, f, "A"), suspected_logic_qubit="A", path="qnd",
+        flip_position=cfg.flip_position - 1,
     )
     return [_row(cfg, 1, f, outcome.fidelity, outcome.success_probability, 0)]

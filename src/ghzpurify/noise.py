@@ -30,6 +30,18 @@ class ErrorKind(str, enum.Enum):
     def is_physical(self) -> bool:
         return self in (ErrorKind.PHYS_BITFLIP, ErrorKind.PHYS_PHASEFLIP)
 
+    @property
+    def basis(self) -> str | None:
+        """Purification basis, or None for the kind that is corrected outright.
+
+        Logic bit flips and physical phase flips both turn phi+ into psi+, so
+        both purify in the bit basis; logic phase flips purify in the phase
+        basis; a physical bit flip is corrected directly.
+        """
+        if self is ErrorKind.PHYS_BITFLIP:
+            return None
+        return "phase" if self is ErrorKind.LOGIC_PHASEFLIP else "bit"
+
 
 @dataclass(frozen=True)
 class ErrorModel:

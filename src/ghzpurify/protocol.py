@@ -40,7 +40,6 @@ from .gates import (
     outcome_probability,
     reset_qubit,
 )
-from .noise import ErrorKind, ErrorModel, apply_error_model
 from .states import (
     Ensemble,
     PureState,
@@ -356,52 +355,3 @@ def correct_physical_bitflip(
     output = Ensemble(tuple(corrected))
     target = with_labels(make_logic_bell(n, "phi+"), labels)
     return ProtocolOutcome(1.0, output, fidelity(output, target))
-
-
-@dataclass(frozen=True)
-class Route:
-    """Which procedure handles a given error model."""
-
-    procedure: str
-    basis: str | None
-
-
-def classify_and_route(model: ErrorModel) -> Route:
-    """Pick purification basis or outright correction for an error kind.
-
-    Logic bit flips and physical phase flips act identically on phi+ (both
-    turn it into psi+), so both purify in the bit basis. Logic phase flips
-    purify in the phase basis. Physical bit flips are corrected directly.
-    """
-    if model.kind is ErrorKind.PHYS_BITFLIP:
-        return Route("correct", None)
-    if model.kind is ErrorKind.LOGIC_PHASEFLIP:
-        return Route("purify", "phase")
-    return Route("purify", "bit")
-
-
-def route_noisy_pair(model: ErrorModel, n: int) -> tuple[Route, Ensemble]:
-    """The model's route and a fresh phi+ pair with the model applied."""
-    pair = apply_error_model(Ensemble.pure(make_logic_bell(n, "phi+")), model, n)
-    return classify_and_route(model), pair
-
-
-def run_routed(
-    model: ErrorModel, n: int, rounds: int = 1, path: str = "qnd"
-) -> ProtocolOutcome:
-    """Apply the model to a fresh phi+ pair and run its routed procedure."""
-    route, pair = route_noisy_pair(model, n)
-    if route.procedure == "correct":
-        return correct_physical_bitflip(
-            pair,
-            suspected_logic_qubit=model.target,
-            path=path,
-            flip_position=model.position,
-        )
-    cfg = PurifyConfig(
-        n=n,
-        error_basis=route.basis,
-        input_fidelity=model.fidelity,
-        rounds=rounds,
-    )
-    return purify_round(cfg, input_pair=pair)

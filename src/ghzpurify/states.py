@@ -156,17 +156,6 @@ def make_bell(kind: str, labels: tuple[str, str] = ("q1", "q2")) -> PureState:
     return PureState._adopt(Register(tuple(labels)), _bell_vector(kind))
 
 
-def make_ghz(n: int, sign: str = "+", prefix: str = "g") -> PureState:
-    """n-qubit GHZ state (|0...0> +- |1...1>)/sqrt2."""
-    if n < 1:
-        raise ValueError("need at least one qubit")
-    if sign not in ("+", "-"):
-        raise ValueError(f"sign must be '+' or '-', got {sign!r}")
-    amps = np.zeros(2**n, dtype=np.complex128)
-    amps[0], amps[-1] = 1 / _SQRT2, (1 if sign == "+" else -1) / _SQRT2
-    return PureState._adopt(make_register([(prefix, n)]), amps)
-
-
 def make_logic_bell(n: int, kind: str) -> PureState:
     """Logic Bell state on 2n qubits, each logic qubit an n-qubit GHZ block.
 

@@ -12,7 +12,7 @@ import numpy as np
 
 from ghzpurify.gates import apply_cnot, apply_x, measure_ensemble, outcome_probability
 from ghzpurify.harness import ExperimentConfig, render_csv, run_purify, sample_purify, write_results
-from ghzpurify.noise import ErrorKind, ErrorModel
+from ghzpurify.noise import ErrorKind
 from ghzpurify.oracle import compare, oracle_purify_round
 from ghzpurify.protocol import (
     PurifyConfig,
@@ -23,7 +23,6 @@ from ghzpurify.protocol import (
     one_round_success_probability,
     purify_round,
     reduce_copy,
-    run_routed,
 )
 from ghzpurify.states import (
     BELL_KINDS,
@@ -208,21 +207,19 @@ def test_criterion_5_bitflip_correction():
 
 
 def test_criterion_6_physical_phaseflip_purifies_as_bitflip():
+    def purified(n, f, position):
+        cfg = ExperimentConfig(
+            mode="purify", n=n, error=ErrorKind.PHYS_PHASEFLIP, fidelity=f,
+            flip_position=position,
+        )
+        return run_purify(cfg)[0].output_fidelity
+
     dev = 0.0
     for n in (2, 3):
         for f in GRID:
-            model = ErrorModel(
-                kind=ErrorKind.PHYS_PHASEFLIP, fidelity=f, target="B", position=0
-            )
-            out = run_routed(model, n)
-            dev = max(dev, abs(out.fidelity - one_round_fidelity_map(f)))
-        for position in range(n):
-            model = ErrorModel(
-                kind=ErrorKind.PHYS_PHASEFLIP, fidelity=0.8, target="B",
-                position=position,
-            )
-            out = run_routed(model, n)
-            dev = max(dev, abs(out.fidelity - one_round_fidelity_map(0.8)))
+            dev = max(dev, abs(purified(n, f, 1) - one_round_fidelity_map(f)))
+        for position in range(1, n + 1):
+            dev = max(dev, abs(purified(n, 0.8, position) - one_round_fidelity_map(0.8)))
     _report(
         6,
         "phys phase-flip routes to bit-basis purification with the same map",

@@ -1,13 +1,15 @@
 import importlib.metadata
 
+import click
 import pytest
 from click.testing import CliRunner
 
+import ghzpurify.harness
 import ghzpurify.protocol
 import ghzpurify.states
 import ghzpurify.verify
 from ghzpurify.cli import main
-from ghzpurify.harness import CSV_COLUMNS, ExperimentConfig
+from ghzpurify.harness import CONFIG_KEYS, CSV_COLUMNS, ERROR_ALIASES, ExperimentConfig
 from ghzpurify.noise import ErrorKind
 from ghzpurify.verify import CheckResult
 
@@ -162,6 +164,31 @@ def test_out_writes_files(runner, tmp_path):
     assert (tmp_path / "rows.json").exists()
 
 
+@pytest.mark.parametrize(
+    "out, message",
+    [
+        ("rows.json", "would be overwritten by its .json sidecar"),
+        ("missing/rows.csv", "does not exist"),
+        ("", "is a directory"),
+    ],
+    ids=["json-suffix", "missing-directory", "directory"],
+)
+def test_out_that_cannot_be_written_exits_2_before_any_state_is_built(
+    runner, monkeypatch, tmp_path, out, message
+):
+    def fail(*_args, **_kwargs):
+        raise AssertionError("a state was built before the out check")
+
+    monkeypatch.setattr(ghzpurify.harness, "make_logic_bell", fail)
+    result = runner.invoke(
+        main, ["purify", "--fidelity", "0.8", "--out", str(tmp_path / out)]
+    )
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert message in result.stderr
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_sampled_round_with_no_kept_shot_exits_2(runner, tmp_path):
     args = [
         "purify", "--n", "2", "--error", "logic-bit", "--fidelity", "0.5",
@@ -211,6 +238,15 @@ def test_config_file_with_flag_override(runner, tmp_path):
     assert result.stdout.splitlines()[1].split(",")[3] == "0.8"
 
 
+def test_missing_config_file_exits_2(runner, tmp_path):
+    result = runner.invoke(
+        main, ["purify", "--fidelity", "0.8", "--config", str(tmp_path / "nofile.cfg")]
+    )
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert "nofile.cfg" in result.stderr and "does not exist" in result.stderr
+
+
 def test_config_file_unknown_key_exits_2(runner, tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("speed = 9\n")
@@ -237,6 +273,45 @@ def test_config_file_key_the_command_does_not_use_exits_2(
     assert result.stdout == ""
     key = line.split(" = ")[0]
     assert f"key '{key}' is not used by {command[0]}" in result.stderr
+
+
+# every option of purify, sweep and correct but --config, with its type
+_OPTION_TYPES = {
+    "error": click.Choice(tuple(ERROR_ALIASES)),
+    "fidelity": click.FLOAT,
+    "f-min": click.FLOAT,
+    "f-max": click.FLOAT,
+    "steps": click.INT,
+    "rounds": click.INT,
+    "shots": click.INT,
+    "flip-position": click.INT,
+    "n": click.INT,
+    "seed": click.INT,
+    "out": click.STRING,
+}
+
+
+@pytest.mark.parametrize(
+    "command, keys",
+    [
+        ("purify", ["error", "fidelity", "rounds", "shots", "flip-position", "n", "seed", "out"]),
+        (
+            "sweep",
+            ["error", "f-min", "f-max", "steps", "rounds", "shots", "flip-position",
+             "n", "seed", "out"],
+        ),
+        ("correct", ["fidelity", "flip-position", "n", "seed", "out"]),
+    ],
+)
+def test_command_options_are_config_plus_the_keys_the_mode_reads(command, keys):
+    params = {p.opts[0]: p for p in main.commands[command].params if p.opts != ["--help"]}
+    assert [key for key, spec in CONFIG_KEYS.items() if command in spec.modes] == keys
+    assert list(params) == [f"--{key}" for key in keys] + ["--config"]
+    for key in keys:
+        param = params[f"--{key}"]
+        assert param.default is None
+        assert param.type.to_info_dict() == _OPTION_TYPES[key].to_info_dict()
+    assert params["--config"].default is None
 
 
 def test_verify_passes_and_prints_lines(runner):

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -134,6 +135,10 @@ def test_parse_config_file_rejects_bad_lines(tmp_path):
     no_eq.write_text("steps\n")
     with pytest.raises(ConfigError):
         parse_config_file(str(no_eq))
+    repeated = tmp_path / "d.cfg"
+    repeated.write_text("n = 2\n# again\nn = 3\n")
+    with pytest.raises(ConfigError, match=re.escape(f"{repeated}:3: key 'n' is already set")):
+        parse_config_file(str(repeated))
 
 
 def test_resolve_config_flags_override_file(tmp_path):
@@ -176,6 +181,7 @@ def test_run_purify_phys_phaseflip_matches_map():
     cfg = _purify_cfg(error=ErrorKind.PHYS_PHASEFLIP, flip_position=2)
     rows = run_purify(cfg)
     assert rows[0].output_fidelity == pytest.approx(16 / 17, abs=1e-12)
+    assert rows[0].success_probability == pytest.approx(0.68, abs=1e-12)
 
 
 def test_run_sweep_grid_order_and_values():

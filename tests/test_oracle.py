@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from ghzpurify import oracle
 from ghzpurify.errors import RegisterError, UnsupportedInputError
-from ghzpurify.gates import apply_circuit, apply_x, project
+from ghzpurify.gates import apply_x, project
 from ghzpurify.oracle import (
     compare,
     evolve_density,
@@ -26,6 +26,8 @@ from ghzpurify.states import (
     to_density_matrix,
     with_labels,
 )
+
+from circuits import apply_circuit
 
 
 def _random_state(rng, labels):

@@ -7,7 +7,6 @@ from ghzpurify.protocol import (
     PurifyConfig,
     bennett_step,
     canonical_pair,
-    classify_and_route,
     copy_modes,
     correct_physical_bitflip,
     iterate_rounds,
@@ -17,7 +16,6 @@ from ghzpurify.protocol import (
     purify_round,
     recover_logic,
     reduce_copy,
-    run_routed,
 )
 from ghzpurify.states import (
     BELL_KINDS,
@@ -305,33 +303,12 @@ def test_correct_path_argument_checked():
 
 
 def test_routing_table():
-    bit = ErrorModel(kind=ErrorKind.LOGIC_BITFLIP, fidelity=0.8)
-    assert classify_and_route(bit).procedure == "purify"
-    assert classify_and_route(bit).basis == "bit"
-    phase = ErrorModel(kind=ErrorKind.LOGIC_PHASEFLIP, fidelity=0.8)
-    assert classify_and_route(phase).basis == "phase"
-    pphase = ErrorModel(kind=ErrorKind.PHYS_PHASEFLIP, fidelity=0.8, position=0)
-    assert classify_and_route(pphase).basis == "bit"
-    pbit = ErrorModel(kind=ErrorKind.PHYS_BITFLIP, fidelity=0.8, position=1)
-    assert classify_and_route(pbit).procedure == "correct"
-
-
-def test_run_routed_purifies_phys_phaseflip():
-    model = ErrorModel(
-        kind=ErrorKind.PHYS_PHASEFLIP, fidelity=0.8, target="B", position=1
-    )
-    out = run_routed(model, 2)
-    assert out.fidelity == pytest.approx(16 / 17, abs=1e-12)
-    assert out.success_probability == pytest.approx(0.68, abs=1e-12)
-
-
-def test_run_routed_corrects_phys_bitflip():
-    model = ErrorModel(
-        kind=ErrorKind.PHYS_BITFLIP, fidelity=0.0, target="A", position=1
-    )
-    out = run_routed(model, 3)
-    assert out.fidelity == pytest.approx(1.0, abs=1e-12)
-    assert out.success_probability == 1.0
+    # phys phase flips turn phi+ into psi+ as logic bit flips do; phys bit
+    # flips are corrected, not purified
+    assert ErrorKind.LOGIC_BITFLIP.basis == "bit"
+    assert ErrorKind.LOGIC_PHASEFLIP.basis == "phase"
+    assert ErrorKind.PHYS_PHASEFLIP.basis == "bit"
+    assert ErrorKind.PHYS_BITFLIP.basis is None
 
 
 def test_purify_config_validation():

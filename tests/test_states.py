@@ -11,7 +11,6 @@ from ghzpurify.states import (
     basis_state,
     fidelity,
     make_bell,
-    make_ghz,
     make_logic_bell,
     make_register,
     map_branches,
@@ -79,16 +78,6 @@ def test_bell_states_orthonormal():
     states = [make_bell(k) for k in BELL_KINDS]
     gram = np.array([[overlap(s1, s2) for s2 in states] for s1 in states])
     assert np.allclose(gram, np.eye(4), atol=1e-12)
-
-
-@pytest.mark.parametrize("n", [1, 2, 3, 5])
-def test_ghz_amplitudes(n):
-    plus = make_ghz(n, "+")
-    assert plus.amps[0] == pytest.approx(SQRT_HALF)
-    assert plus.amps[-1] == pytest.approx(SQRT_HALF)
-    assert np.count_nonzero(plus.amps) == 2
-    minus = make_ghz(n, "-")
-    assert minus.amps[-1] == pytest.approx(-SQRT_HALF)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
