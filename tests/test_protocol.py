@@ -311,6 +311,35 @@ def test_routing_table():
     assert ErrorKind.PHYS_BITFLIP.basis is None
 
 
+def _routed_pair(model, n):
+    return apply_error_model(Ensemble.pure(make_logic_bell(n, "phi+")), model, n)
+
+
+def test_run_routed_purifies_phys_phaseflip():
+    model = ErrorModel(
+        kind=ErrorKind.PHYS_PHASEFLIP, fidelity=0.8, target="B", position=1
+    )
+    cfg = PurifyConfig(n=2, error_basis=model.kind.basis, input_fidelity=model.fidelity)
+    out = purify_round(cfg, input_pair=_routed_pair(model, 2))
+    assert out.fidelity == pytest.approx(16 / 17, abs=1e-12)
+    assert out.success_probability == pytest.approx(0.68, abs=1e-12)
+
+
+def test_run_routed_corrects_phys_bitflip():
+    model = ErrorModel(
+        kind=ErrorKind.PHYS_BITFLIP, fidelity=0.0, target="A", position=1
+    )
+    assert model.kind.basis is None
+    out = correct_physical_bitflip(
+        _routed_pair(model, 3),
+        suspected_logic_qubit=model.target,
+        path="qnd",
+        flip_position=model.position,
+    )
+    assert out.fidelity == pytest.approx(1.0, abs=1e-12)
+    assert out.success_probability == 1.0
+
+
 def test_purify_config_validation():
     with pytest.raises(ValueError):
         PurifyConfig(n=1, error_basis="bit", input_fidelity=0.8)
