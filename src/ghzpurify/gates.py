@@ -1,12 +1,12 @@
 """Gate application and projective measurement on pure states and ensembles.
 
-Kernels reshape the amplitude vector to (2,)*n so register position k is
-tensor axis k. Each makes one pass into a fresh array, which the new state
-adopts uncopied. A CNOT fans out to all its targets in that pass, and a
-single-qubit gate is one matrix product. A joint measurement of a branch
-reads every outcome's probability in one reduction, then writes each kept
-outcome's slice, scaled, into one zeroed array. Measured qubits stay in the
-register; use discard() to drop qubits that sit in a definite basis state.
+Kernels work on a state's sparse form (states.PureState), so each costs in
+proportion to the number of nonzero amplitudes, never to 2^n. X and CNOT
+fan-outs XOR the index, which is then re-sorted, and Z is a sign. H sends
+every entry to both halves of its qubit and sums the entries that meet; only
+sums that cancel to exactly 0 are dropped. A joint measurement groups each
+branch's entries by the measured bits. Measured qubits stay in the register;
+use discard() to drop qubits that sit in a definite basis state.
 """
 
 from __future__ import annotations
@@ -17,19 +17,13 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import RegisterError
-from .states import Ensemble, PureState, Register
+from .states import Ensemble, PureState, Register, gather_bits
 
 # outcomes below this probability are treated as impossible
 OUTCOME_EPS = 1e-12
 
-_SQRT2 = np.sqrt(2.0)
-_H = np.array([[1, 1], [1, -1]], dtype=np.complex128) / _SQRT2
-_X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
-_Z = np.array([[1, 0], [0, -1]], dtype=np.complex128)
-_PAULI = {"X": _X, "Z": _Z}
-# up to this many trailing amplitudes, one product with mat (x) identity
-# beats a batched matmul, whose per-batch overhead then dominates
-_NARROW_REST = 16
+_H_AMP = 1 / np.sqrt(2.0)
+_ONE = np.uint64(1)
 
 
 @dataclass(frozen=True)
@@ -41,72 +35,75 @@ class PauliString:
     def __post_init__(self) -> None:
         ops = dict(self.ops)
         for lab, p in ops.items():
-            if p not in _PAULI:
+            if p not in ("X", "Z"):
                 raise ValueError(f"unknown Pauli {p!r} on {lab!r}")
         object.__setattr__(self, "ops", ops)
 
 
-def _apply_single(s: PureState, label: str, mat: np.ndarray) -> PureState:
-    q = s.register.index_of(label)
-    rest = 2 ** (s.n_qubits - 1 - q)
-    if rest > _NARROW_REST:
-        out = np.matmul(mat, s.amps.reshape(2**q, 2, rest))
-    else:
-        out = s.amps.reshape(-1, 2 * rest) @ np.kron(mat.T, np.eye(rest))
-    return PureState._adopt(s.register, out.reshape(-1))
+def _sorted(register: Register, idx: np.ndarray, vals: np.ndarray) -> PureState:
+    order = np.argsort(idx)
+    return PureState._adopt(register, idx[order], vals[order])
+
+
+def _runs(keys: np.ndarray) -> np.ndarray:
+    """Start of every run of equal keys in a sorted key array."""
+    first = np.ones(len(keys), dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    return np.flatnonzero(first)
 
 
 def apply_h(s: PureState, label: str) -> PureState:
-    return _apply_single(s, label, _H)
+    m = s.register.mask([label])
+    half = _H_AMP * s.vals
+    low = s.idx & ~m
+    idx = np.concatenate((low, low | m))
+    vals = np.concatenate((half, np.where(s.idx & m, -half, half)))
+    # at most two entries meet at an index, and a two-term sum is the same
+    # in either order, so an unstable sort is enough
+    order = np.argsort(idx)
+    idx, vals = idx[order], vals[order]
+    starts = _runs(idx)
+    vals = np.add.reduceat(vals, starts)
+    keep = vals != 0
+    return PureState._adopt(s.register, idx[starts][keep], vals[keep])
 
 
 def apply_x(s: PureState, label: str) -> PureState:
-    return _apply_single(s, label, _X)
+    return _sorted(s.register, s.idx ^ s.register.mask([label]), s.vals)
 
 
 def apply_z(s: PureState, label: str) -> PureState:
-    return _apply_single(s, label, _Z)
+    signed = np.where(s.idx & s.register.mask([label]), -s.vals, s.vals)
+    return PureState._adopt(s.register, s.idx, signed)
 
 
 def apply_pauli(s: PureState, p: PauliString) -> PureState:
-    """Apply every X and Z factor in one pass: one flip over the X axes, then
-    one sign multiply over the Z axes."""
-    xs = s.register.positions([lab for lab, name in p.ops.items() if name == "X"])
-    zs = s.register.positions([lab for lab, name in p.ops.items() if name == "Z"])
-    if not xs and not zs:
-        return s
-    n = s.n_qubits
-    out = np.flip(s.amps.reshape((2,) * n), axis=tuple(xs))
-    if zs:
-        # (-1)^(sum of the Z bits), broadcast from 2 entries per Z axis
-        sign = np.ones([2 if q in zs else 1 for q in range(n)])
-        for q in zs:
-            np.moveaxis(sign, q, 0)[1] *= -1.0
-        out = out * sign
-    return PureState._adopt(s.register, np.ascontiguousarray(out).reshape(-1))
+    """Apply every Z factor as a sign, then every X factor in one XOR."""
+    for lab, name in p.ops.items():
+        if name == "Z":
+            s = apply_z(s, lab)
+    xs = [lab for lab, name in p.ops.items() if name == "X"]
+    return _sorted(s.register, s.idx ^ s.register.mask(xs), s.vals) if xs else s
 
 
 def apply_cnot(s: PureState, control: str, *targets: str) -> PureState:
-    """Flip every target where the control reads 1, in one pass."""
+    """Flip every target where the control reads 1, in one XOR."""
     c = s.register.index_of(control)
     ts = s.register.positions(targets)
     if not ts or c in ts or len(set(ts)) != len(ts):
         raise RegisterError("need distinct targets that differ from the control")
-    n = s.n_qubits
-    src = s.amps.reshape((2,) * n)
-    out = np.empty_like(src)
-    sel: list[slice | int] = [slice(None)] * n
-    sel[c] = 0
-    out[tuple(sel)] = src[tuple(sel)]
-    sel[c] = 1
-    axes = tuple(t - 1 if t > c else t for t in ts)
-    out[tuple(sel)] = np.flip(src[tuple(sel)], axis=axes)
-    return PureState._adopt(s.register, out.reshape(-1))
+    flipped = s.idx ^ s.register.mask(targets)
+    idx = np.where(s.idx & s.register.mask([control]), flipped, s.idx)
+    return _sorted(s.register, idx, s.vals)
+
+
+def _reads(s: PureState, label: str, outcome: int) -> np.ndarray:
+    """Which entries have the qubit at the given outcome."""
+    return ((s.idx & s.register.mask([label])) != 0) == bool(outcome)
 
 
 def outcome_probability(s: PureState, label: str, outcome: int) -> float:
-    q = s.register.index_of(label)
-    v = s.amps.reshape(2**q, 2, -1)[:, outcome]
+    v = s.vals[_reads(s, label, outcome)]
     return float(np.vdot(v, v).real)
 
 
@@ -118,29 +115,27 @@ def project(s: PureState, label: str, outcome: int) -> tuple[float, PureState | 
     """
     if outcome not in (0, 1):
         raise ValueError(f"outcome must be 0 or 1, got {outcome}")
-    q = s.register.index_of(label)
     p = outcome_probability(s, label, outcome)
     if p <= OUTCOME_EPS:
         return 0.0, None
-    src = s.amps.reshape(2**q, 2, -1)
-    out = np.zeros_like(src)
-    np.divide(src[:, outcome], np.sqrt(p), out=out[:, outcome])
-    return p, PureState._adopt(s.register, out.reshape(-1))
+    sel = _reads(s, label, outcome)
+    return p, PureState._adopt(s.register, s.idx[sel], s.vals[sel] / np.sqrt(p))
 
 
-def _joint_probabilities(amps: np.ndarray, qs: Sequence[int]) -> np.ndarray:
-    """Joint outcome probabilities on positions qs, one axis each, from one
-    einsum over the float64 view: no |amps|^2 array is built. The re/im axis
-    is summed afterwards if the last position is measured, so that no inner
-    loop runs over just two entries."""
-    n = amps.size.bit_length() - 1
-    ordered = sorted(qs)
-    tail = ordered[-1] == n - 1
-    v = amps.view(np.float64).reshape((2,) * (n + 1))
-    probs = np.einsum(v, range(n + 1), v, range(n + 1), ordered + [n] * tail)
-    if tail:
-        probs = probs.sum(axis=-1)
-    return probs.transpose([ordered.index(q) for q in qs])
+def _group_by_bits(
+    s: PureState, qs: Sequence[int]
+) -> list[tuple[int, float, np.ndarray]]:
+    """(outcome, probability, entry positions) of every joint outcome on
+    positions qs that has support, sorted by outcome. Bit i of an outcome,
+    from the top, is qubit qs[i]; positions are in index order."""
+    key = np.zeros_like(s.idx)
+    for q in qs:
+        key = (key << _ONE) | ((s.idx >> np.uint64(s.n_qubits - 1 - q)) & _ONE)
+    order = np.argsort(key, kind="stable")
+    starts = _runs(key[order])
+    probs = np.add.reduceat((s.vals.real**2 + s.vals.imag**2)[order], starts)
+    groups = np.split(order, starts[1:])
+    return [(int(key[g[0]]), float(p), g) for g, p in zip(groups, probs)]
 
 
 def measure_ensemble(
@@ -162,17 +157,12 @@ def measure_ensemble(
     total = e.weight_sum
     collected: dict[tuple[int, ...], list[tuple[float, PureState]]] = {}
     for w, s in e.branches:
-        probs = _joint_probabilities(s.amps, qs)
-        src = s.amps.reshape((2,) * s.n_qubits)
-        for bits in zip(*np.nonzero(probs > OUTCOME_EPS)):
-            at = dict(zip(qs, bits))
-            # the trailing ... keeps the slice a view when every qubit is measured
-            sel = tuple(at.get(q, slice(None)) for q in range(s.n_qubits)) + (...,)
-            p = float(probs[bits])
-            kept = np.zeros_like(src)
-            np.divide(src[sel], np.sqrt(p), out=kept[sel])
-            post = PureState._adopt(s.register, kept.reshape(-1))
-            collected.setdefault(tuple(map(int, bits)), []).append((w * p, post))
+        for outcome, p, at in _group_by_bits(s, qs):
+            if p <= OUTCOME_EPS:
+                continue
+            post = PureState._adopt(s.register, s.idx[at], s.vals[at] / np.sqrt(p))
+            bits = tuple((outcome >> (len(qs) - 1 - i)) & 1 for i in range(len(qs)))
+            collected.setdefault(bits, []).append((w * p, post))
     out: dict[tuple[int, ...], tuple[float, Ensemble]] = {}
     for outcome_bits in sorted(collected):
         branches = collected[outcome_bits]
@@ -185,9 +175,11 @@ def measure_ensemble(
 def discard(s: PureState, labels: Sequence[str]) -> PureState:
     """Drop qubits that sit in a definite computational basis state.
 
-    One reduction tests them all. Rejects qubits still in superposition or
-    entangled with the rest, since discarding those would not leave a pure
-    state.
+    Keeps the most likely reading of the dropped qubits, which is usually
+    the only one, and packs the kept qubits' bits into a smaller index.
+    Rejects qubits still in superposition or entangled with the rest (other
+    readings above OUTCOME_EPS), since discarding those would not leave a
+    pure state.
     """
     drop = set(labels)
     if not drop:
@@ -199,16 +191,18 @@ def discard(s: PureState, labels: Sequence[str]) -> PureState:
     if not keep:
         raise RegisterError("cannot discard every qubit")
     labs = [lab for lab in s.register.labels if lab in drop]
-    probs = _joint_probabilities(s.amps, s.register.positions(labs))
-    bits = np.unravel_index(np.argmax(probs), probs.shape)
-    if probs.sum() - probs[bits] > OUTCOME_EPS:
-        for lab in labs:  # only to name the offender
-            if OUTCOME_EPS < outcome_probability(s, lab, 1) < 1.0 - OUTCOME_EPS:
-                raise RegisterError(f"qubit {lab!r} is not in a definite basis state")
-    picked = dict(zip(labs, map(int, bits)))
-    sel = tuple(picked.get(lab, slice(None)) for lab in s.register.labels)
-    sub = s.amps.reshape((2,) * s.n_qubits)[sel].reshape(-1)
-    return PureState._adopt(Register(keep), sub / np.linalg.norm(sub))
+    dropped = s.idx & s.register.mask(labs)
+    at = np.flatnonzero(dropped == dropped[0])
+    if len(at) < len(dropped):
+        groups = _group_by_bits(s, s.register.positions(labs))
+        _, best, at = max(groups, key=lambda g: g[1])
+        if sum(g[1] for g in groups) - best > OUTCOME_EPS:
+            for lab in labs:  # only to name the offender
+                if OUTCOME_EPS < outcome_probability(s, lab, 1) < 1.0 - OUTCOME_EPS:
+                    raise RegisterError(f"qubit {lab!r} is not in a definite basis state")
+    sub = s.vals[at]
+    idx = gather_bits(s.idx[at], s.n_qubits, s.register.positions(keep))
+    return PureState._adopt(Register(keep), idx, sub / np.linalg.norm(sub))
 
 
 def reset_qubit(s: PureState, label: str) -> PureState:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .errors import RegisterError
 from .gates import PauliString, apply_pauli
-from .states import Ensemble, map_branches
+from .states import Ensemble, make_register, map_branches
 
 
 class ErrorKind(str, enum.Enum):
@@ -69,14 +69,9 @@ class ErrorModel:
                 raise ValueError(f"position must be non-negative, got {self.position}")
 
 
-def _target_labels(model: ErrorModel, n: int) -> list[str]:
-    prefix = "a" if model.target == "A" else "b"
-    return [f"{prefix}{i}" for i in range(1, n + 1)]
-
-
 def error_operator(model: ErrorModel, n: int) -> PauliString:
     """Concrete Pauli realization of the model on an n-per-logic-qubit register."""
-    labels = _target_labels(model, n)
+    labels = make_register([(model.target.lower(), n)]).labels
     if model.kind is ErrorKind.LOGIC_BITFLIP:
         pos = 0 if model.position is None else model.position
         if pos >= n:

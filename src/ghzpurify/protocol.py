@@ -7,13 +7,14 @@ Hadamard. That leaves the pair's Bell content on the two first modes (phi+/-
 and psi+/- map to their physical counterparts) and every other mode in |0>;
 an input whose reduced ancillas are not in |0> is rejected here. The second
 copy's ancillas are then dropped, so only its two first modes (c1, d1) join
-the first copy, and the round runs on 2n + 2 modes instead of 4n. The two
-kept modes of the first copy control CNOTs onto c1 and d1, those are
-measured, and runs with unequal outcomes are thrown away. After
-post-selection c1 and d1 are dropped as well, and the surviving 2n-mode
-states are lifted back to logic Bell pairs by the inverse of the reduction.
-These three stages are prepare_copy, compare_copies and lift_kept; the Monte
-Carlo sampler builds its outcome tables from the same functions.
+the first copy. The two kept modes of the first copy control CNOTs onto c1
+and d1, those are measured, and runs with unequal outcomes are thrown away.
+After post-selection c1 and d1 are dropped as well, and the surviving
+2n-mode states are lifted back to logic Bell pairs by the inverse of the
+reduction. Every state on the way has a handful of nonzero amplitudes, and
+the engine's cost follows them, not 2^(2n). These three stages are
+prepare_copy, compare_copies and lift_kept; the Monte Carlo sampler builds
+its outcome tables from the same functions.
 
 Bit-type errors (psi+ admixtures) purify directly. Phase-type errors (phi-
 admixtures) are first converted to bit type by Hadamards on the kept modes
@@ -94,13 +95,12 @@ def reduce_copy(s: PureState, modes: Modes) -> PureState:
 def _require_clear_ancillas(s: PureState, modes: Modes) -> None:
     """Reject a reduced state whose non-first modes are not all in |0>.
 
-    One norm of the block where every ancilla reads 0 clears the usual case;
+    One norm of the entries where some ancilla reads 1 clears the usual case;
     only a state that fails it is checked mode by mode, to name the offender.
     """
     ancillas = [anc for group in modes for anc in group[1:]]
-    sel = [0 if lab in ancillas else slice(None) for lab in s.register.labels]
-    clear = s.amps.reshape((2,) * s.n_qubits)[tuple(sel)]
-    if np.vdot(s.amps, s.amps).real - np.vdot(clear, clear).real > OUTCOME_EPS:
+    stray = s.vals[(s.idx & s.register.mask(ancillas)) != 0]
+    if np.vdot(stray, stray).real > OUTCOME_EPS:
         for anc in ancillas:
             if outcome_probability(s, anc, 1) > OUTCOME_EPS:
                 raise UnsupportedInputError(f"mode {anc!r} is not in |0>")

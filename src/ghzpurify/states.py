@@ -1,9 +1,15 @@
 """Registers, pure states, ensembles, and density matrices.
 
 States live on named qubit registers (mode labels such as a1, a2, b1, ...).
-Amplitude vectors are big-endian: the qubit at register position k maps to
+Basis indices are big-endian: the qubit at register position k maps to
 bit (n_qubits - 1 - k) of the basis index, so the leftmost label is the most
 significant bit and basis index i spells the ket left to right.
+
+A pure state is stored sparsely, as the sorted uint64 basis indices of its
+nonzero amplitudes and their complex128 values, so building, tensoring,
+permuting and comparing states costs in proportion to the support size, not
+to 2^n. The dense amplitude vector is built only when something asks for
+`PureState.amps`.
 
 Mixed states are represented as ensembles of weighted pure branches; dense
 density matrices exist only as a cross-check representation.
@@ -11,6 +17,7 @@ density matrices exist only as a cross-check representation.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
@@ -67,6 +74,10 @@ class Register:
     def positions(self, labels: Iterable[str]) -> list[int]:
         return [self.index_of(lab) for lab in labels]
 
+    def mask(self, labels: Iterable[str]) -> np.uint64:
+        """Basis-index bits of the given qubits."""
+        return np.uint64(sum({1 << (self.n_qubits - 1 - self.index_of(lab)) for lab in labels}))
+
 
 def make_register(groups: Sequence[tuple[str, int]]) -> Register:
     """Build a register from (prefix, count) groups: ("a", 2) -> a1, a2."""
@@ -84,43 +95,58 @@ def make_register(groups: Sequence[tuple[str, int]]) -> Register:
     return Register(tuple(labels))
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class PureState:
-    """Normalized statevector on a register. Treated as immutable."""
+    """Normalized state on a register, treated as immutable: the sorted,
+    unique uint64 basis indices `idx` of its nonzero amplitudes and their
+    values `vals`, both read-only."""
 
     register: Register
-    amps: np.ndarray
+    idx: np.ndarray
+    vals: np.ndarray
 
-    def __post_init__(self) -> None:
-        self._seal(np.array(self.amps, dtype=np.complex128))
-
-    @classmethod
-    def _adopt(cls, register: Register, amps: np.ndarray) -> PureState:
-        """Wrap a complex128 array that a kernel has just built, without a copy."""
-        s = object.__new__(cls)
-        object.__setattr__(s, "register", register)
-        s._seal(amps)
-        return s
-
-    def _seal(self, amps: np.ndarray) -> None:
-        if amps.shape != (2**self.register.n_qubits,):
+    def __init__(self, register: Register, amps: np.ndarray) -> None:
+        """Build from a dense amplitude vector, which is copied."""
+        amps = np.asarray(amps, dtype=np.complex128)
+        if amps.shape != (2**register.n_qubits,):
             raise RegisterError(
                 f"amplitude vector of length {amps.shape} does not match "
-                f"{self.register.n_qubits}-qubit register"
+                f"{register.n_qubits}-qubit register"
             )
-        norm2 = float(np.vdot(amps, amps).real)
+        idx = np.flatnonzero(amps)
+        self._seal(register, idx.astype(np.uint64), amps[idx])
+
+    @classmethod
+    def _adopt(cls, register: Register, idx: np.ndarray, vals: np.ndarray) -> PureState:
+        """Wrap the arrays that a kernel has just built, without a copy."""
+        s = object.__new__(cls)
+        s._seal(register, idx, vals)
+        return s
+
+    def _seal(self, register: Register, idx: np.ndarray, vals: np.ndarray) -> None:
+        norm2 = float(np.vdot(vals, vals).real)
         if abs(norm2 - 1.0) > _NORM_TOL:
             raise ValueError(f"state is not normalized (norm^2 = {norm2})")
-        amps.flags.writeable = False
-        object.__setattr__(self, "amps", amps)
+        idx.flags.writeable = vals.flags.writeable = False
+        for name, value in (("register", register), ("idx", idx), ("vals", vals)):
+            object.__setattr__(self, name, value)
 
     @property
     def n_qubits(self) -> int:
         return self.register.n_qubits
 
+    @property
+    def amps(self) -> np.ndarray:
+        """Dense big-endian amplitude vector, read-only, built on each access."""
+        amps = np.zeros(2**self.n_qubits, dtype=np.complex128)
+        amps[self.idx] = self.vals
+        amps.flags.writeable = False
+        return amps
+
     def amplitude(self, bits: str | Sequence[int]) -> complex:
         """Amplitude of one computational basis ket, leftmost bit first."""
-        return complex(self.amps[_bits_to_index(bits, self.n_qubits)])
+        hit = self.idx == _bits_to_index(bits, self.n_qubits)
+        return complex(self.vals[hit].sum())
 
 
 def _bits_to_index(bits: str | Sequence[int], n: int) -> int:
@@ -134,26 +160,18 @@ def _bits_to_index(bits: str | Sequence[int], n: int) -> int:
 
 
 def basis_state(register: Register, bits: str | Sequence[int]) -> PureState:
-    amps = np.zeros(2**register.n_qubits, dtype=np.complex128)
-    amps[_bits_to_index(bits, register.n_qubits)] = 1.0
-    return PureState._adopt(register, amps)
-
-
-def _bell_vector(kind: str) -> np.ndarray:
-    if kind not in BELL_KINDS:
-        raise ValueError(f"unknown Bell kind {kind!r}")
-    sign = 1.0 if kind.endswith("+") else -1.0
-    v = np.zeros(4, dtype=np.complex128)
-    if kind.startswith("phi"):
-        v[0b00], v[0b11] = 1 / _SQRT2, sign / _SQRT2
-    else:
-        v[0b01], v[0b10] = 1 / _SQRT2, sign / _SQRT2
-    return v
+    idx = np.array([_bits_to_index(bits, register.n_qubits)], dtype=np.uint64)
+    return PureState._adopt(register, idx, np.ones(1, dtype=np.complex128))
 
 
 def make_bell(kind: str, labels: tuple[str, str] = ("q1", "q2")) -> PureState:
     """Physical two-qubit Bell state: phi+/- = (|00> +- |11>)/sqrt2, psi+/- = (|01> +- |10>)/sqrt2."""
-    return PureState._adopt(Register(tuple(labels)), _bell_vector(kind))
+    if kind not in BELL_KINDS:
+        raise ValueError(f"unknown Bell kind {kind!r}")
+    sign = 1.0 if kind.endswith("+") else -1.0
+    idx = np.array([0b00, 0b11] if kind.startswith("phi") else [0b01, 0b10], dtype=np.uint64)
+    vals = np.array([1 / _SQRT2, sign / _SQRT2], dtype=np.complex128)
+    return PureState._adopt(Register(tuple(labels)), idx, vals)
 
 
 def make_logic_bell(n: int, kind: str) -> PureState:
@@ -174,11 +192,12 @@ def make_logic_bell(n: int, kind: str) -> PureState:
     x, y = (0, 0) if kind.startswith("phi") else (0, 1)
     sign = 1.0 if kind.endswith("+") else -1.0
     corner = np.outer(g[x], g[y]) + sign * np.outer(g[1 - x], g[1 - y])
-    amps = np.zeros(4**n, dtype=np.complex128)
-    end = 2**n - 1  # non-zero only where each block reads all 0 or all 1
-    amps.reshape(2**n, 2**n)[::end, ::end] = corner / _SQRT2
+    vals = (corner / _SQRT2).astype(np.complex128).ravel()
+    # non-zero only where each block reads all 0 or all 1
+    block = np.array([0, 2**n - 1], dtype=np.uint64)
+    idx = ((block[:, None] << np.uint64(n)) | block).ravel()
     reg = make_register([("a", n), ("b", n)])
-    return PureState._adopt(reg, amps)
+    return PureState._adopt(reg, idx[vals != 0], vals[vals != 0])
 
 
 def _check_same_register(a: Register, b: Register) -> None:
@@ -189,7 +208,10 @@ def _check_same_register(a: Register, b: Register) -> None:
 def overlap(s1: PureState, s2: PureState) -> complex:
     """Signed inner product <s1|s2>; registers must match exactly."""
     _check_same_register(s1.register, s2.register)
-    return complex(np.vdot(s1.amps, s2.amps))
+    at = np.searchsorted(s2.idx, s1.idx)
+    hit = at < len(s2.idx)
+    hit[hit] = s2.idx[at[hit]] == s1.idx[hit]
+    return complex(np.vdot(s1.vals[hit], s2.vals[at[hit]]))
 
 
 def tensor(s1: PureState, s2: PureState) -> PureState:
@@ -198,14 +220,15 @@ def tensor(s1: PureState, s2: PureState) -> PureState:
     if common:
         raise RegisterError(f"overlapping labels {sorted(common)}")
     reg = Register(s1.register.labels + s2.register.labels)
-    return PureState._adopt(reg, np.kron(s1.amps, s2.amps))
+    idx = (s1.idx[:, None] << np.uint64(s2.n_qubits)) | s2.idx
+    return PureState._adopt(reg, idx.ravel(), np.multiply.outer(s1.vals, s2.vals).ravel())
 
 
 def with_labels(s: PureState, labels: Sequence[str]) -> PureState:
     """Same amplitudes on a renamed register (order preserved)."""
     if len(labels) != s.n_qubits:
         raise RegisterError("label count mismatch")
-    return PureState._adopt(Register(tuple(labels)), s.amps)
+    return PureState._adopt(Register(tuple(labels)), s.idx, s.vals)
 
 
 def permute(s: PureState, labels: Sequence[str]) -> PureState:
@@ -217,9 +240,20 @@ def permute(s: PureState, labels: Sequence[str]) -> PureState:
         )
     if new == s.register.labels:
         return s
-    src = s.register.positions(new)
-    t = s.amps.reshape((2,) * s.n_qubits).transpose(src)
-    return PureState._adopt(Register(new), np.ascontiguousarray(t).reshape(-1))
+    idx = gather_bits(s.idx, s.n_qubits, s.register.positions(new))
+    order = np.argsort(idx)
+    return PureState._adopt(Register(new), idx[order], s.vals[order])
+
+
+def gather_bits(idx: np.ndarray, n: int, src: Sequence[int]) -> np.ndarray:
+    """Indices on the qubits at positions src of an n-qubit register, in the
+    order of src. Each run of adjacent positions moves as one masked shift."""
+    out = np.zeros_like(idx)
+    for _, run in itertools.groupby(enumerate(src), lambda jq: jq[1] - jq[0]):
+        last = [j for j, _ in run]
+        block = (idx >> np.uint64(n - 1 - src[last[-1]])) & np.uint64((1 << len(last)) - 1)
+        out |= block << np.uint64(len(src) - 1 - last[-1])
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -313,5 +347,5 @@ def to_density_matrix(e: Ensemble) -> DensityMatrix:
     dim = 2**e.register.n_qubits
     mat = np.zeros((dim, dim), dtype=np.complex128)
     for w, s in e.branches:
-        mat += w * np.outer(s.amps, s.amps.conj())
+        mat[np.ix_(s.idx, s.idx)] += w * np.outer(s.vals, s.vals.conj())
     return DensityMatrix(e.register, mat)

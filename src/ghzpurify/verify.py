@@ -72,24 +72,18 @@ def _random_state(rng: np.random.Generator, labels: tuple[str, ...]) -> PureStat
     return PureState(Register(labels), v / np.linalg.norm(v))
 
 
+def _gram_deviation(states: list[PureState]) -> float:
+    """Largest entry of |<s_i|s_j> - delta_ij| over a list of states."""
+    return max(abs(overlap(s1, s2) - (s1 is s2)) for s1 in states for s2 in states)
+
+
 def check_bell_orthonormal(ns: tuple[int, ...]) -> CheckResult:
-    dev = 0.0
-    states = [make_bell(k) for k in BELL_KINDS]
-    for i, s1 in enumerate(states):
-        for j, s2 in enumerate(states):
-            want = 1.0 if i == j else 0.0
-            dev = max(dev, abs(overlap(s1, s2) - want))
+    dev = _gram_deviation([make_bell(k) for k in BELL_KINDS])
     return _result("bell_states_orthonormal", dev, EXACT_TOL)
 
 
 def check_logic_bell_orthonormal(ns: tuple[int, ...]) -> CheckResult:
-    dev = 0.0
-    for n in ns:
-        states = [make_logic_bell(n, k) for k in BELL_KINDS]
-        for i, s1 in enumerate(states):
-            for j, s2 in enumerate(states):
-                want = 1.0 if i == j else 0.0
-                dev = max(dev, abs(overlap(s1, s2) - want))
+    dev = max(_gram_deviation([make_logic_bell(n, k) for k in BELL_KINDS]) for n in ns)
     return _result("logic_bell_orthonormal", dev, EXACT_TOL)
 
 
@@ -102,12 +96,8 @@ def check_gates_preserve_norm(ns: tuple[int, ...]) -> CheckResult:
         for _ in range(8):
             pick = rng.integers(0, 4)
             q = labels[rng.integers(0, len(labels))]
-            if pick == 0:
-                s = apply_h(s, q)
-            elif pick == 1:
-                s = apply_x(s, q)
-            elif pick == 2:
-                s = apply_z(s, q)
+            if pick < 3:
+                s = (apply_h, apply_x, apply_z)[pick](s, q)
             else:
                 t = labels[rng.integers(0, len(labels))]
                 if t != q:
@@ -182,24 +172,18 @@ def check_bennett_maps(ns: tuple[int, ...]) -> CheckResult:
 
 
 def check_purify_map_grid(ns: tuple[int, ...]) -> CheckResult:
-    """Engine output must match f^2/(f^2+(1-f)^2) and the success formula."""
+    """Engine output must match f^2/(f^2+(1-f)^2) and the success formula,
+    at every n in ns whose 2n + 2 round qubits fit under MAX_QUBITS; larger
+    n are skipped."""
     grid = [0.0, 0.25, 0.5, 0.55, 0.6, 0.68, 0.75, 0.8, 0.9, 0.95, 1.0]
     dev = 0.0
-    for n in ns:
-        if n > 3:
-            continue
-        for basis in BASES:
-            for f in grid:
-                cfg = PurifyConfig(
-                    n=n, error_basis=basis, input_fidelity=f, rounds=1
-                )
-                out = purify_round(cfg)
-                dev = max(
-                    dev,
-                    abs(out.success_probability - one_round_success_probability(f)),
-                )
-                if out.success_probability > 0:
-                    dev = max(dev, abs(out.fidelity - one_round_fidelity_map(f)))
+    for n, basis, f in itertools.product(
+        [k for k in ns if 2 * k + 2 <= MAX_QUBITS], BASES, grid
+    ):
+        out = purify_round(PurifyConfig(n=n, error_basis=basis, input_fidelity=f))
+        dev = max(dev, abs(out.success_probability - one_round_success_probability(f)))
+        if out.success_probability > 0:
+            dev = max(dev, abs(out.fidelity - one_round_fidelity_map(f)))
     return _result("purify_map_grid", dev, EXACT_TOL)
 
 
@@ -256,41 +240,34 @@ def check_bitflip_correction(ns: tuple[int, ...]) -> CheckResult:
     return _result("bitflip_correction_deterministic", dev, EXACT_TOL)
 
 
+def _error_image_deviation(n: int, model: ErrorModel, kind: str) -> float:
+    """How far each errored branch of phi+ is from the logic Bell `kind`,
+    up to a global phase."""
+    errored = apply_error_model(Ensemble.pure(make_logic_bell(n, "phi+")), model, n)
+    target = make_logic_bell(n, kind)
+    return max(abs(abs(overlap(target, branch)) - 1.0) for _, branch in errored.branches)
+
+
 def check_physical_phase_is_logic_bitflip(ns: tuple[int, ...]) -> CheckResult:
     """A single-mode phase flip turns phi+ into exactly psi+, any position."""
-    dev = 0.0
-    for n in ns:
-        target = make_logic_bell(n, "psi+")
-        for logic_target in ("A", "B"):
-            for position in range(n):
-                model = ErrorModel(
-                    kind=ErrorKind.PHYS_PHASEFLIP,
-                    fidelity=0.0,
-                    target=logic_target,
-                    position=position,
-                )
-                errored = apply_error_model(
-                    Ensemble.pure(make_logic_bell(n, "phi+")), model, n
-                )
-                for _, branch in errored.branches:
-                    dev = max(dev, abs(abs(overlap(target, branch)) - 1.0))
+    dev = max(
+        _error_image_deviation(
+            n, ErrorModel(ErrorKind.PHYS_PHASEFLIP, 0.0, target, position), "psi+"
+        )
+        for n in ns
+        for target in ("A", "B")
+        for position in range(n)
+    )
     return _result("phase_flip_equals_logic_bitflip", dev, EXACT_TOL)
 
 
 def check_logic_phaseflip_operator(ns: tuple[int, ...]) -> CheckResult:
     """X on every mode of one logic qubit turns phi+ into exactly phi-."""
-    dev = 0.0
-    for n in ns:
-        target = make_logic_bell(n, "phi-")
-        for logic_target in ("A", "B"):
-            model = ErrorModel(
-                kind=ErrorKind.LOGIC_PHASEFLIP, fidelity=0.0, target=logic_target
-            )
-            errored = apply_error_model(
-                Ensemble.pure(make_logic_bell(n, "phi+")), model, n
-            )
-            for _, branch in errored.branches:
-                dev = max(dev, abs(abs(overlap(target, branch)) - 1.0))
+    dev = max(
+        _error_image_deviation(n, ErrorModel(ErrorKind.LOGIC_PHASEFLIP, 0.0, target), "phi-")
+        for n in ns
+        for target in ("A", "B")
+    )
     return _result("logic_phaseflip_operator", dev, EXACT_TOL)
 
 

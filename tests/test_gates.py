@@ -29,6 +29,7 @@ from ghzpurify.states import (
     overlap,
 )
 
+import dense
 from circuits import apply_circuit
 
 SQRT_HALF = 1.0 / np.sqrt(2.0)
@@ -108,7 +109,7 @@ def test_pauli_string_equals_its_factors_one_label_at_a_time(ops):
     s = _random_state(np.random.default_rng(914), [f"q{k}" for k in range(1, 7)])
     ref = s
     for lab, name in ops.items():
-        ref = gates._apply_single(ref, lab, gates._PAULI[name])
+        ref = dense.apply_single(ref, lab, dense.PAULI[name])
     assert np.array_equal(apply_pauli(s, PauliString(ops)).amps, ref.amps)
 
 
@@ -380,9 +381,9 @@ def _assert_measurements_agree(e, labels):
 
 
 _SINGLE_GATES = {
-    "h": (apply_h, gates._H),
-    "x": (apply_x, gates._X),
-    "z": (apply_z, gates._Z),
+    "h": (apply_h, dense.H),
+    "x": (apply_x, dense.X),
+    "z": (apply_z, dense.Z),
 }
 
 
@@ -448,10 +449,13 @@ def test_measure_ensemble_rejects_bad_labels_before_array_work(monkeypatch, labe
     def no_array_work(*args):
         raise AssertionError("array work before the label check")
 
-    monkeypatch.setattr(gates, "_joint_probabilities", no_array_work)
+    # the sparse engine's grouping, and the dense reference's reduction
+    monkeypatch.setattr(gates, "_group_by_bits", no_array_work)
+    monkeypatch.setattr(dense, "joint_probabilities", no_array_work)
     e = Ensemble.pure(basis_state(Register(("q1", "q2")), "00"))
-    with pytest.raises(RegisterError):
-        measure_ensemble(e, labels)
+    for measure in (measure_ensemble, dense.measure_ensemble):
+        with pytest.raises(RegisterError):
+            measure(e, labels)
 
 
 def test_discard_keeps_the_definite_block_and_names_the_offender():

@@ -7,6 +7,7 @@ from ghzpurify.verify import (
     CHECK_FUNCS,
     CheckResult,
     check_oracle_round_agreement,
+    check_purify_map_grid,
     run_verify,
 )
 
@@ -47,6 +48,19 @@ def test_oracle_check_covers_every_n_up_to_5(monkeypatch):
     monkeypatch.setattr(ghzpurify.verify, "oracle_purify_round", engine_round)
     assert check_oracle_round_agreement((2, 3, 4, 5, 6)).passed
     assert sorted(set(asked)) == [2, 3, 4, 5]
+
+
+def test_purify_map_check_covers_every_n_whose_round_fits(monkeypatch):
+    # 2n + 2 round qubits fit under the 24-qubit cap up to n = 11
+    asked = []
+
+    def recorded_round(cfg):
+        asked.append(cfg.n)
+        return purify_round(cfg)
+
+    monkeypatch.setattr(ghzpurify.verify, "purify_round", recorded_round)
+    assert check_purify_map_grid(tuple(range(2, 13))).passed
+    assert sorted(set(asked)) == list(range(2, 12))
 
 
 def test_run_verify_rejects_small_n():
