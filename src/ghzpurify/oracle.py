@@ -5,11 +5,11 @@ using slice arithmetic on the matrix reshaped to (2,)*(2k) (ket axes first,
 then bra axes), measurements are diagonal projectors. The kernels change
 the array they are given in place, through views of its axis halves. The
 purification round below rebuilds the whole protocol from scratch on this
-representation, so the two engines share no evolution code. It shares one
-idea with the engine, the 2n + 2 staging: one copy is reduced on its own 2n
-qubits, and only the second copy's (a1, b1) corner joins it for the
-bilateral CNOTs. The oracle checks that idea's premise itself, by requiring
-the reduced copy's whole trace on the block where every ancilla reads 0.
+representation, so the two engines share no evolution code. Each of its
+stages is one dense operation on one copy's 2n-qubit matrix: the CNOT
+fan-outs one row and column permutation (the CNOT kernel run on an index
+array), the head Hadamards one pass over the a1 and b1 axes, and the
+Bennett step one entrywise scaling by a 4 x 4 table from the second copy.
 """
 
 from __future__ import annotations
@@ -162,57 +162,51 @@ def oracle_purify_round(
     engine: the circuit is spelled out here and evolution is conjugation.
 
     The local stages act on each factor of rho (x) rho on its own, so one
-    copy is reduced as a 2n-qubit matrix: the CNOT fan-outs, H on a1 and b1,
-    and in the phase basis a second H pair. Its whole trace must then sit on
-    the block where every ancilla reads 0 (else UnsupportedInputError). The
-    second copy enters only as that block's 4 x 4 (a1, b1) corner,
-    relabelled (c1, d1), so the bilateral CNOTs and the post-selection run
-    on 2n + 2 qubits; c1 and d1 are traced out before recovery on 2n.
+    copy is reduced as a 2n-qubit matrix, and its whole trace must then sit
+    where every ancilla reads 0 (else UnsupportedInputError). The second
+    copy enters only as that block's 4 x 4 (a1, b1) corner s, on (c1, d1).
+    The bilateral CNOTs map |x, u, c> to |x, u, c ^ u>, with u the (a1, b1)
+    and c the (c1, d1) bits, so they conjugate rho (x) s to entries
+    rho[xu, yv] s[c ^ u, d ^ v]. Keeping c = d in {00, 11} and tracing c out
+    scales each entry of rho by K[u, v] = s[u, v] + s[u ^ 3, v ^ 3].
     """
     if basis not in ("bit", "phase"):
         raise ValueError(f"basis must be 'bit' or 'phase', got {basis!r}")
-    size = 2 * n + 2
+    if not 0.0 <= f <= 1.0:
+        raise ValueError(f"fidelity must lie in [0, 1], got {f}")
     if n > ORACLE_MAX_N:
         raise RegisterError(
-            f"oracle round at n={n} needs {size} qubits;"
+            f"oracle round at n={n} needs {2 * n + 2} qubits;"
             f" density matrices are capped at {DENSITY_MAX_QUBITS} qubits"
         )
     reg_ab = make_register([("a", n), ("b", n)])
-    # one copy, reduced in place through the tensor view t1
-    rho = _logic_pair_density(n, f, "psi+" if basis == "bit" else "phi-")
-    dim = len(rho)  # 2**(2n)
-    t1 = rho.reshape((2,) * (4 * n))
-
-    fan_out = [("cnot", f"{p}1", f"{p}{k}") for p in "ab" for k in range(2, n + 1)]
-    heads = [("h", "a1"), ("h", "b1")]
-    _apply_ops(t1, 2 * n, fan_out + heads * (2 if basis == "phase" else 1), reg_ab)
+    # the fan-outs permute basis states: run them on an index array
+    perm = np.arange(4**n).reshape((2,) * (2 * n))
+    for p, k in itertools.product("ab", range(2, n + 1)):
+        _cnot_axes(perm, reg_ab.index_of(f"{p}1"), reg_ab.index_of(f"{p}{k}"))
+    fan_out = np.ix_(perm.ravel(), perm.ravel())
+    coarse = (2, 2 ** (n - 1)) * 4  # a1, a2..an, b1, b2..bn; ket, then bra
+    rho = _logic_pair_density(n, f, "psi+" if basis == "bit" else "phi-")[fan_out]
+    t = rho.reshape(coarse)
+    for axis in (0, 2, 4, 6) * (2 if basis == "phase" else 1):
+        _h_axis(t, axis)
 
     # rho is positive semidefinite, so no diagonal weight off the clean
     # block means no entry off it either
-    ancillas = [q for q in range(2 * n) if q not in (0, n)]
-    stray = np.abs(np.diagonal(rho)).reshape((2,) * (2 * n))
-    _zero_block(stray, {q: 0 for q in ancillas})
+    stray = np.abs(np.diagonal(rho)).reshape(coarse[:4])
+    stray[:, 0, :, 0] = 0.0
     if stray.sum() > _IMPOSSIBLE:
         raise UnsupportedInputError("the reduced ancillas are not all in |0>")
-    corner: list[slice | int] = [slice(None)] * (4 * n)
-    for q in ancillas:
-        corner[q] = corner[2 * n + q] = 0
-    sacrificed = t1[tuple(corner)].reshape(4, 4)
-
-    reg = make_register([("a", n), ("b", n), ("c", 1), ("d", 1)])
-    t = np.kron(rho, sacrificed).reshape((2,) * (2 * size))
-    _apply_ops(t, size, [("cnot", "a1", "c1"), ("cnot", "b1", "d1")], reg)
-    # Post-selecting equal outcomes on (c1, d1), the last two axes of ket and
-    # bra, and tracing them out leaves the sum over x of <xx|rho|xx>: only
-    # the blocks where ket and bra both read 00, or both read 11.
-    t4 = t.reshape(dim, 4, dim, 4)
-    kept = t4[:, 0, :, 0] + t4[:, 3, :, 3]
-    p_total = float(np.trace(kept).real)
+    s = t[:, 0, :, 0, :, 0, :, 0].reshape(4, 4)
+    t *= (s + s[::-1, ::-1]).reshape((2, 1) * 4)
+    p_total = float(np.trace(rho).real)
     if p_total <= _IMPOSSIBLE:
         return 0.0, 0.0, DensityMatrix(reg_ab, np.zeros(rho.shape))
 
-    kept /= p_total
-    _apply_ops(kept.reshape((2,) * (4 * n)), 2 * n, heads + fan_out, reg_ab)
+    rho /= p_total
+    for axis in (0, 2, 4, 6):
+        _h_axis(t, axis)
+    kept = rho[fan_out]
     target = make_logic_bell(n, "phi+").amps
     fid = float(np.vdot(target, kept @ target).real)
     return p_total, fid, DensityMatrix(reg_ab, kept)

@@ -44,6 +44,7 @@ class Register:
 
     labels: tuple[str, ...]
     _index: dict[str, int] = field(init=False, repr=False, compare=False)
+    _masks: dict[tuple, np.uint64] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         labels = tuple(self.labels)
@@ -60,6 +61,7 @@ class Register:
                 raise RegisterError(f"duplicate label {lab!r}")
             index[lab] = k
         object.__setattr__(self, "_index", index)
+        object.__setattr__(self, "_masks", {})
 
     @property
     def n_qubits(self) -> int:
@@ -75,8 +77,12 @@ class Register:
         return [self.index_of(lab) for lab in labels]
 
     def mask(self, labels: Iterable[str]) -> np.uint64:
-        """Basis-index bits of the given qubits."""
-        return np.uint64(sum({1 << (self.n_qubits - 1 - self.index_of(lab)) for lab in labels}))
+        """Basis-index bits of the given qubits, cached per label tuple."""
+        key = tuple(labels)
+        if key not in self._masks:
+            bits = {1 << (self.n_qubits - 1 - self.index_of(lab)) for lab in key}
+            self._masks[key] = np.uint64(sum(bits))
+        return self._masks[key]
 
 
 def make_register(groups: Sequence[tuple[str, int]]) -> Register:

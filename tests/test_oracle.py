@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -228,16 +229,84 @@ def test_oracle_staging_agrees_with_4n_reference(basis, f):
     assert np.max(np.abs(dm.matrix - ref)) <= ORACLE_TOL
 
 
+def _oracle_round_kron(n, basis, f):
+    """Reference spelling of the 2n + 2 staging: rho (x) the second copy's
+    (a1, b1) corner, with the bilateral CNOTs conjugated gate by gate."""
+    reg_ab = make_register([("a", n), ("b", n)])
+    rho = oracle._logic_pair_density(n, f, "psi+" if basis == "bit" else "phi-")
+    dim = len(rho)
+    t1 = rho.reshape((2,) * (4 * n))
+    fan_out = [("cnot", f"{p}1", f"{p}{k}") for p in "ab" for k in range(2, n + 1)]
+    heads = [("h", "a1"), ("h", "b1")]
+    oracle._apply_ops(
+        t1, 2 * n, fan_out + heads * (2 if basis == "phase" else 1), reg_ab
+    )
+    corner = [slice(None)] * (4 * n)
+    for q in range(2 * n):
+        if q not in (0, n):
+            corner[q] = corner[2 * n + q] = 0
+    sacrificed = t1[tuple(corner)].reshape(4, 4)
+    size = 2 * n + 2
+    reg = make_register([("a", n), ("b", n), ("c", 1), ("d", 1)])
+    t = np.kron(rho, sacrificed).reshape((2,) * (2 * size))
+    oracle._apply_ops(t, size, [("cnot", "a1", "c1"), ("cnot", "b1", "d1")], reg)
+    t4 = t.reshape(dim, 4, dim, 4)
+    kept = t4[:, 0, :, 0] + t4[:, 3, :, 3]
+    p_total = float(np.trace(kept).real)
+    if p_total <= oracle._IMPOSSIBLE:
+        return 0.0, 0.0, np.zeros(rho.shape)
+    kept /= p_total
+    oracle._apply_ops(kept.reshape((2,) * (4 * n)), 2 * n, heads + fan_out, reg_ab)
+    target = make_logic_bell(n, "phi+").amps
+    return p_total, float(np.vdot(target, kept @ target).real), kept
+
+
+@pytest.mark.parametrize("basis", ["bit", "phase"])
+@pytest.mark.parametrize(
+    "n", [2, 3, 4, pytest.param(5, marks=pytest.mark.slow)]
+)
+def test_oracle_agrees_with_kron_staging(n, basis):
+    for f in (0.0, 0.3, 0.8, 1.0):
+        p_ref, fid_ref, ref = _oracle_round_kron(n, basis, f)
+        p, fid, dm = oracle_purify_round(n, basis, f)
+        assert abs(p - p_ref) <= ORACLE_TOL
+        assert abs(fid - fid_ref) <= ORACLE_TOL
+        assert np.max(np.abs(dm.matrix - ref)) <= ORACLE_TOL
+
+
 @pytest.mark.parametrize("basis", ["bit", "phase"])
 def test_oracle_rejects_dirty_ancilla(monkeypatch, basis):
-    # a physical bit flip on a2 leaves a2 in |1> after the reduction
-    def flipped_pair(n, f, error_kind):
-        amps = apply_x(make_logic_bell(n, "phi+"), "a2").amps
-        return np.outer(amps, amps.conj())
+    # a physical bit flip on any ancilla leaves it in |1> after the reduction
+    for flipped in ("a2", "a3", "b2", "b3"):
+        def flipped_pair(n, f, error_kind):
+            amps = apply_x(make_logic_bell(n, "phi+"), flipped).amps
+            return np.outer(amps, amps.conj())
 
-    monkeypatch.setattr(oracle, "_logic_pair_density", flipped_pair)
-    with pytest.raises(UnsupportedInputError, match="ancillas"):
-        oracle_purify_round(2, basis, 0.8)
+        monkeypatch.setattr(oracle, "_logic_pair_density", flipped_pair)
+        with pytest.raises(UnsupportedInputError, match="ancillas"):
+            oracle_purify_round(3, basis, 0.8)
+
+
+@pytest.mark.parametrize("f", [1.5, -0.2, float("nan")])
+def test_oracle_rejects_fidelity_outside_unit_interval(monkeypatch, f):
+    def no_pair(*args):
+        raise AssertionError("the pair was built before the fidelity check")
+
+    monkeypatch.setattr(oracle, "_logic_pair_density", no_pair)
+    with pytest.raises(ValueError, match=r"fidelity must lie in \[0, 1\], got"):
+        oracle_purify_round(2, "bit", f)
+
+
+@pytest.mark.slow
+def test_oracle_n5_round_builds_no_2n_plus_2_matrix():
+    # the 12-qubit kron alone would be 256 MiB
+    tracemalloc.start()
+    try:
+        oracle_purify_round(5, "phase", 0.8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 128 * 2**20
 
 
 def test_oracle_output_is_valid_state():

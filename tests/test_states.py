@@ -43,6 +43,17 @@ def test_register_unknown_label():
         reg.index_of("q2")
 
 
+def test_register_mask_is_cached_and_checked():
+    reg = Register(("a1", "a2", "b1"))
+    assert reg.mask(["a1", "b1"]) == 0b101
+    assert reg.mask(("a1", "b1")) == 0b101  # the cached entry
+    assert reg.mask(["a2", "a2"]) == 0b010  # a repeated label is one bit
+    assert reg == Register(("a1", "a2", "b1"))  # the cache is not compared
+    for _ in range(2):  # an unknown label is refused, and is not cached
+        with pytest.raises(RegisterError):
+            reg.mask(["a1", "q9"])
+
+
 def test_make_register_groups():
     reg = make_register([("a", 2), ("b", 2)])
     assert reg.labels == ("a1", "a2", "b1", "b2")
