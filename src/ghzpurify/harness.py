@@ -38,7 +38,6 @@ from .protocol import (
     PurifyConfig,
     canonical_pair,
     compare_copies,
-    copy_modes,
     correct_physical_bitflip,
     iterate_rounds,
     lift_kept,
@@ -326,24 +325,21 @@ def _shot_tables(
     The tables are cached per (n, basis), so they are immutable: tuples and
     read-only CDF arrays.
     """
-    modes = copy_modes(n)
     prepared = [
-        map_branches(
-            canonical_pair(n, basis, f), lambda s: prepare_copy(s, modes, basis)
-        )
+        map_branches(canonical_pair(n, basis, f), lambda s: prepare_copy(s, basis))
         for f in (1.0, 0.0)
     ]
     tables = []
     for first in prepared:
         for second in prepared:
-            outcomes = compare_copies(first, second, modes)
+            outcomes = compare_copies(first, second)
             probs, keeps, fids = [], [], []
             for key in ((0, 0), (0, 1), (1, 0), (1, 1)):
                 prob, kept = outcomes.get(key, (0.0, None))
                 keep = key[0] == key[1]
                 probs.append(prob)
                 keeps.append(keep)
-                fids.append(lift_kept(kept, modes)[1] if keep and prob else 0.0)
+                fids.append(lift_kept(kept)[1] if keep and prob else 0.0)
             cdf = np.cumsum(probs)
             cdf.flags.writeable = False
             tables.append((cdf, tuple(keeps), tuple(fids)))

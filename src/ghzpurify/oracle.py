@@ -35,7 +35,7 @@ _SQRT2 = np.sqrt(2.0)
 _IMPOSSIBLE = 1e-15
 # a half swap moves blocks of 2**_SWAP_AXES entries: 256 KiB temporaries
 _SWAP_AXES = 14
-# largest n whose 2n + 2 round qubits fit under DENSITY_MAX_QUBITS
+# largest n whose 2n + 2-qubit round circuit fits; its largest matrix has 2n
 ORACLE_MAX_N = (DENSITY_MAX_QUBITS - 2) // 2
 
 
@@ -188,8 +188,10 @@ def oracle_purify_round(
     coarse = (2, 2 ** (n - 1)) * 4  # a1, a2..an, b1, b2..bn; ket, then bra
     rho = _logic_pair_density(n, f, "psi+" if basis == "bit" else "phi-")[fan_out]
     t = rho.reshape(coarse)
-    for axis in (0, 2, 4, 6) * (2 if basis == "phase" else 1):
-        _h_axis(t, axis)
+    # the reduction's H on a1 and b1; in the phase basis the conversion H undoes it
+    if basis == "bit":
+        for axis in (0, 2, 4, 6):
+            _h_axis(t, axis)
 
     # rho is positive semidefinite, so no diagonal weight off the clean
     # block means no entry off it either

@@ -14,7 +14,8 @@ After post-selection c1 and d1 are dropped as well, and the surviving
 reduction. Every state on the way has a handful of nonzero amplitudes, and
 the engine's cost follows them, not 2^(2n). These three stages are
 prepare_copy, compare_copies and lift_kept; the Monte Carlo sampler builds
-its outcome tables from the same functions.
+its outcome tables from the same functions. Each stage reads the logic qubits
+from its input's register: the first n modes are A, the last n are B.
 
 Bit-type errors (psi+ admixtures) purify directly. Phase-type errors (phi-
 admixtures) are first converted to bit type by Hadamards on the kept modes
@@ -51,40 +52,28 @@ from .states import (
     with_labels,
 )
 
-Modes = tuple[tuple[str, ...], tuple[str, ...]]
-
 BASES = ("bit", "phase")
 
 
-def copy_modes(n: int) -> Modes:
-    """Mode labels of one logic Bell pair: a1..an and b1..bn."""
-    return (
-        tuple(f"a{i}" for i in range(1, n + 1)),
-        tuple(f"b{i}" for i in range(1, n + 1)),
-    )
+def _logic_modes(pair: PureState | Ensemble) -> tuple[tuple[str, ...], ...]:
+    """The pair's two logic qubits: the first and the last n register modes;
+    a register of odd size or with n < 2 holds no logic Bell pair."""
+    labels = pair.register.labels
+    n = len(labels) // 2
+    if len(labels) % 2 != 0 or n < 2:
+        raise RegisterError("expected a 2n-qubit logic Bell pair register")
+    return labels[:n], labels[n:]
 
 
-def _validate_modes(s: PureState, modes: Modes) -> None:
-    a, b = modes
-    if len(a) != len(b):
-        raise RegisterError("logic qubits must have equal mode counts")
-    if len(a) < 2:
-        raise RegisterError("logic qubits need at least two modes")
-    labels = list(a) + list(b)
-    if len(set(labels)) != len(labels):
-        raise RegisterError("copy modes overlap")
-    s.register.positions(labels)
-
-
-def reduce_copy(s: PureState, modes: Modes) -> PureState:
+def reduce_copy(s: PureState) -> PureState:
     """Concentrate one copy's Bell content onto its two first modes.
 
     Applies the intra-logic CNOT fan-out (first mode controls) in both logic
-    qubits, then a Hadamard on each first mode. Logic phi+/- map to physical
-    phi+/- on the first modes and psi+/- to psi+/-, with all other modes
-    left in |0>.
+    qubits, read from the register, then a Hadamard on each first mode. Logic
+    phi+/- map to physical phi+/- on the first modes and psi+/- to psi+/-,
+    with all other modes left in |0>.
     """
-    _validate_modes(s, modes)
+    modes = _logic_modes(s)
     for group in modes:
         s = apply_cnot(s, *group)
     for group in modes:
@@ -92,13 +81,13 @@ def reduce_copy(s: PureState, modes: Modes) -> PureState:
     return s
 
 
-def _require_clear_ancillas(s: PureState, modes: Modes) -> None:
+def _require_clear_ancillas(s: PureState) -> None:
     """Reject a reduced state whose non-first modes are not all in |0>.
 
     One norm of the entries where some ancilla reads 1 clears the usual case;
     only a state that fails it is checked mode by mode, to name the offender.
     """
-    ancillas = [anc for group in modes for anc in group[1:]]
+    ancillas = [anc for group in _logic_modes(s) for anc in group[1:]]
     stray = s.vals[(s.idx & s.register.mask(ancillas)) != 0]
     if np.vdot(stray, stray).real > OUTCOME_EPS:
         for anc in ancillas:
@@ -106,15 +95,15 @@ def _require_clear_ancillas(s: PureState, modes: Modes) -> None:
                 raise UnsupportedInputError(f"mode {anc!r} is not in |0>")
 
 
-def recover_logic(e: Ensemble, modes: Modes) -> Ensemble:
+def recover_logic(e: Ensemble) -> Ensemble:
     """Inverse of reduce_copy, lifting a physical Bell pair back to a logic pair.
 
     Every non-first mode must be in |0>; anything else is rejected because
     the lift is only defined on reduced states.
     """
     def lift(s: PureState) -> PureState:
-        _validate_modes(s, modes)
-        _require_clear_ancillas(s, modes)
+        _require_clear_ancillas(s)
+        modes = _logic_modes(s)
         for group in modes:
             s = apply_h(s, group[0])
         for group in modes:
@@ -220,51 +209,51 @@ def canonical_pair(n: int, basis: str, f: float) -> Ensemble:
 SACRIFICED = ("c1", "d1")
 
 
-def prepare_copy(s: PureState, modes: Modes, basis: str) -> PureState:
+def prepare_copy(s: PureState, basis: str) -> PureState:
     """Reduce one copy, check its ancillas, and turn phase errors into bit
     errors with Hadamards on the two first modes."""
-    s = reduce_copy(s, modes)
-    _require_clear_ancillas(s, modes)
+    s = reduce_copy(s)
+    _require_clear_ancillas(s)
     if basis == "phase":
-        s = apply_h(apply_h(s, modes[0][0]), modes[1][0])
+        a, b = _logic_modes(s)
+        s = apply_h(apply_h(s, a[0]), b[0])
     return s
 
 
 def compare_copies(
-    first: Ensemble, second: Ensemble, modes: Modes
+    first: Ensemble, second: Ensemble
 ) -> dict[tuple[int, ...], tuple[float, Ensemble]]:
-    """Bennett comparison of two prepared copies on the first copy's modes.
+    """Bennett comparison of two prepared copies, on the first copy's register.
 
     Only the second copy's two first modes join, relabelled (c1, d1); its
     ancillas are |0> after preparation and are dropped.
     """
-    a, b = modes
+    a, b = _logic_modes(first)
     second = map_branches(
         second, lambda s: with_labels(discard(s, a[1:] + b[1:]), SACRIFICED)
     )
     return bennett_step(tensor_ensembles(first, second), (a[0], b[0]), SACRIFICED)
 
 
-def lift_kept(kept: Ensemble, modes: Modes) -> tuple[Ensemble, float]:
+def lift_kept(kept: Ensemble) -> tuple[Ensemble, float]:
     """Drop c1 and d1, recover the logic pair, and give its fidelity to phi+."""
-    kept = map_branches(kept, lambda s: discard(s, SACRIFICED))
-    kept = recover_logic(kept, modes)
-    return kept, fidelity(kept, make_logic_bell(len(modes[0]), "phi+"))
+    kept = recover_logic(map_branches(kept, lambda s: discard(s, SACRIFICED)))
+    n = kept.register.n_qubits // 2
+    return kept, fidelity(kept, make_logic_bell(n, "phi+"))
 
 
 def _run_single_round(n: int, basis: str, pair: Ensemble) -> ProtocolOutcome:
-    modes = copy_modes(n)
-    expected = modes[0] + modes[1]
+    expected = tuple(f"{p}{i}" for p in "ab" for i in range(1, n + 1))
     if pair.register.labels != expected:
         raise RegisterError(
             f"input pair must live on {expected}, got {pair.register.labels}"
         )
-    first = map_branches(pair, lambda s: prepare_copy(s, modes, basis))
+    first = map_branches(pair, lambda s: prepare_copy(s, basis))
     # The second copy is the same ensemble, so its preparation is the first's.
-    p, kept = postselect_equal(compare_copies(first, first, modes))
+    p, kept = postselect_equal(compare_copies(first, first))
     if p == 0.0:
         return ProtocolOutcome(0.0, kept, 0.0)
-    kept, fid = lift_kept(kept, modes)
+    kept, fid = lift_kept(kept)
     return ProtocolOutcome(p, kept, fid)
 
 
@@ -324,11 +313,9 @@ def correct_physical_bitflip(
     if suspected_logic_qubit not in ("A", "B"):
         raise ValueError("suspected logic qubit must be 'A' or 'B'")
     e = Ensemble.pure(state) if isinstance(state, PureState) else state
-    labels = e.register.labels
-    if len(labels) % 2 != 0 or len(labels) < 4:
-        raise RegisterError("expected a 2n-qubit logic Bell pair register")
-    n = len(labels) // 2
-    modes = labels[:n] if suspected_logic_qubit == "A" else labels[n:]
+    a, b = _logic_modes(e)
+    n = len(a)
+    modes = a if suspected_logic_qubit == "A" else b
     if flip_position is not None:
         if flip_position == 0:
             raise UnsupportedInputError(
@@ -353,5 +340,5 @@ def correct_physical_bitflip(
                 s = apply_x(s, anc) if path == "qnd" else reset_qubit(s, anc)
             corrected.append((prob * w, apply_cnot(s, control, *ancillas)))
     output = Ensemble(tuple(corrected))
-    target = with_labels(make_logic_bell(n, "phi+"), labels)
+    target = with_labels(make_logic_bell(n, "phi+"), a + b)
     return ProtocolOutcome(1.0, output, fidelity(output, target))

@@ -19,7 +19,6 @@ from .oracle import ORACLE_MAX_N, compare, oracle_purify_round
 from .protocol import (
     BASES,
     PurifyConfig,
-    copy_modes,
     correct_physical_bitflip,
     iterate_rounds,
     one_round_fidelity_map,
@@ -127,12 +126,11 @@ def check_reduction_concentrates(ns: tuple[int, ...]) -> CheckResult:
     Bell pair on the first modes, all other modes exactly |0>."""
     dev = 0.0
     for n in ns:
-        modes = copy_modes(n)
+        rest = tuple(f"{p}{i}" for p in "ab" for i in range(2, n + 1))
+        zeros = basis_state(Register(rest), [0] * len(rest))
         for kind in BELL_KINDS:
-            got = reduce_copy(make_logic_bell(n, kind), modes)
+            got = reduce_copy(make_logic_bell(n, kind))
             bell = make_bell(kind, ("a1", "b1"))
-            zeros_labels = modes[0][1:] + modes[1][1:]
-            zeros = basis_state(Register(zeros_labels), [0] * len(zeros_labels))
             expected = permute(tensor(bell, zeros), got.register.labels)
             dev = max(dev, abs(overlap(expected, got) - 1.0))
     return _result("reduction_concentrates", dev, EXACT_TOL)
@@ -141,11 +139,9 @@ def check_reduction_concentrates(ns: tuple[int, ...]) -> CheckResult:
 def check_recovery_inverts_reduction(ns: tuple[int, ...]) -> CheckResult:
     dev = 0.0
     for n in ns:
-        modes = copy_modes(n)
         for kind in BELL_KINDS:
             original = make_logic_bell(n, kind)
-            reduced = reduce_copy(original, modes)
-            back = recover_logic(Ensemble.pure(reduced), modes)
+            back = recover_logic(Ensemble.pure(reduce_copy(original)))
             for _, branch in back.branches:
                 dev = max(dev, abs(overlap(original, branch) - 1.0))
     return _result("recovery_inverts_reduction", dev, EXACT_TOL)

@@ -16,7 +16,6 @@ from ghzpurify.noise import ErrorKind
 from ghzpurify.oracle import compare, oracle_purify_round
 from ghzpurify.protocol import (
     PurifyConfig,
-    copy_modes,
     correct_physical_bitflip,
     iterate_rounds,
     one_round_fidelity_map,
@@ -115,11 +114,10 @@ def test_criterion_4_arbitrary_block_size():
     dev_anc = 0.0
     dev_map = 0.0
     for n in (3, 4, 5):
-        modes = copy_modes(n)
-        ancillas = modes[0][1:] + modes[1][1:]
+        ancillas = tuple(f"{p}{i}" for p in "ab" for i in range(2, n + 1))
         assert len(ancillas) == 2 * (n - 1)
         for kind in BELL_KINDS:
-            reduced = reduce_copy(make_logic_bell(n, kind), modes)
+            reduced = reduce_copy(make_logic_bell(n, kind))
             for anc in ancillas:
                 dev_anc = max(dev_anc, outcome_probability(reduced, anc, 1))
         for f in GRID:
@@ -289,10 +287,9 @@ def test_criterion_9_circuit_algebra_golden():
         want = tensor(make_bell(w1, ("a1", "b1")), make_bell(w2, ("c1", "d1")))
         dev = max(dev, abs(abs(overlap(want, s)) - 1.0))
     for n in (2, 3):
-        modes = copy_modes(n)
-        rest = modes[0][1:] + modes[1][1:]
+        rest = tuple(f"{p}{i}" for p in "ab" for i in range(2, n + 1))
         for kind in BELL_KINDS:
-            reduced = reduce_copy(make_logic_bell(n, kind), modes)
+            reduced = reduce_copy(make_logic_bell(n, kind))
             bell = make_bell(kind, ("a1", "b1"))
             zeros = basis_state(Register(rest), [0] * len(rest))
             want = permute(tensor(bell, zeros), reduced.register.labels)

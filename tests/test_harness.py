@@ -412,11 +412,22 @@ def test_sampled_sweep_rows_are_reproducible():
              "rounds": 2, "seed": 2**64 + 5},
             "1b90ee666ea5ecf9df6b1ca0491db10241a352c2ea88edd5f9a4234644df1c7d",
         ),
+        (
+            {"n": 5, "error": "logic-phase", "fidelity": 0.7, "rounds": 3},
+            "d63e627aabc9cb9f59f2cbb21f0eba1feb6b8d3e3ce311f17069d7e757a48072",
+        ),
+        (
+            {"n": 7, "error": "phys-phase", "fidelity": 0.66, "flip-position": 4,
+             "rounds": 2},
+            "9963601eebb40c659e4f991497623e20ef27c552aa32d5d42aca86725ac1da42",
+        ),
     ],
-    ids=["n2-bit", "n3-phase-seed-past-64-bits"],
+    ids=["n2-bit", "n3-phase-seed-past-64-bits", "n5-phase-exact", "n7-phys-exact"],
 )
 def test_sampled_csv_bytes_match_pinned_digests(flags, digest):
-    # pinned from the per-shot shot_rng sampler: any change to the draws shows
+    # pinned from the per-shot shot_rng sampler, so any change to the draws
+    # shows, and from two exact runs, so any change to the engine's arithmetic
+    # that reaches the printed digits shows too
     csv = render_csv(run_purify(resolve_config("purify", flags, None)))
     assert hashlib.sha256(csv.encode()).hexdigest() == digest
 

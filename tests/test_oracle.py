@@ -328,7 +328,8 @@ def test_oracle_handles_pure_limits():
 
 
 def test_oracle_refuses_registers_past_the_density_cap(monkeypatch):
-    # n = 6 needs a 14-qubit matrix; it must be refused before any allocation
+    # n = 6 needs a 12-qubit matrix for its 14-qubit circuit, and the cap
+    # counts the circuit; it must be refused before any allocation
     def no_pair(*args):
         raise AssertionError("the pair was built before the cap check")
 

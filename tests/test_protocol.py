@@ -7,12 +7,12 @@ from ghzpurify.protocol import (
     PurifyConfig,
     bennett_step,
     canonical_pair,
-    copy_modes,
     correct_physical_bitflip,
     iterate_rounds,
     one_round_fidelity_map,
     one_round_success_probability,
     postselect_equal,
+    prepare_copy,
     purify_round,
     recover_logic,
     reduce_copy,
@@ -25,6 +25,7 @@ from ghzpurify.states import (
     fidelity,
     make_bell,
     make_logic_bell,
+    make_register,
     overlap,
     permute,
     tensor,
@@ -34,8 +35,7 @@ from ghzpurify.states import (
 
 def _reduced_expectation(kind, n):
     bell = make_bell(kind, ("a1", "b1"))
-    a, b = copy_modes(n)
-    rest = a[1:] + b[1:]
+    rest = tuple(f"{p}{i}" for p in "ab" for i in range(2, n + 1))
     zeros = basis_state(Register(rest), [0] * len(rest))
     return tensor(bell, zeros)
 
@@ -43,17 +43,17 @@ def _reduced_expectation(kind, n):
 @pytest.mark.parametrize("n", [2, 3, 4])
 @pytest.mark.parametrize("kind", BELL_KINDS)
 def test_reduce_concentrates_each_kind(n, kind):
-    got = reduce_copy(make_logic_bell(n, kind), copy_modes(n))
+    got = reduce_copy(make_logic_bell(n, kind))
     expected = permute(_reduced_expectation(kind, n), got.register.labels)
     assert overlap(expected, got) == pytest.approx(1.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_reduce_leaves_ancillas_in_zero(n):
-    a, b = copy_modes(n)
+    ancillas = tuple(f"{p}{i}" for p in "ab" for i in range(2, n + 1))
     for kind in BELL_KINDS:
-        got = reduce_copy(make_logic_bell(n, kind), (a, b))
-        for anc in a[1:] + b[1:]:
+        got = reduce_copy(make_logic_bell(n, kind))
+        for anc in ancillas:
             assert outcome_probability(got, anc, 1) == pytest.approx(0.0, abs=1e-12)
 
 
@@ -61,26 +61,45 @@ def test_reduce_leaves_ancillas_in_zero(n):
 @pytest.mark.parametrize("kind", BELL_KINDS)
 def test_recover_inverts_reduce(n, kind):
     original = make_logic_bell(n, kind)
-    modes = copy_modes(n)
-    back = recover_logic(Ensemble.pure(reduce_copy(original, modes)), modes)
+    back = recover_logic(Ensemble.pure(reduce_copy(original)))
     (_, s), = back.branches
     assert overlap(original, s) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_recover_rejects_dirty_ancilla():
-    modes = copy_modes(2)
-    reduced = reduce_copy(make_logic_bell(2, "phi+"), modes)
+    reduced = reduce_copy(make_logic_bell(2, "phi+"))
     dirty = apply_x(reduced, "a2")
     with pytest.raises(UnsupportedInputError):
-        recover_logic(Ensemble.pure(dirty), modes)
+        recover_logic(Ensemble.pure(dirty))
 
 
-def test_reduce_validates_modes():
-    s = make_logic_bell(2, "phi+")
+@pytest.mark.parametrize("n_qubits", [2, 3])
+@pytest.mark.parametrize(
+    "stage",
+    [
+        reduce_copy,
+        lambda s: recover_logic(Ensemble.pure(s)),
+        lambda s: prepare_copy(s, "bit"),
+        correct_physical_bitflip,
+    ],
+    ids=["reduce_copy", "recover_logic", "prepare_copy", "correct_physical_bitflip"],
+)
+def test_stage_refuses_register_without_two_logic_qubits(stage, n_qubits):
+    # 2 qubits split into one-mode logic qubits; 3 cannot be split in half
+    s = basis_state(make_register([("q", n_qubits)]), [0] * n_qubits)
     with pytest.raises(RegisterError):
-        reduce_copy(s, (("a1", "a2"), ("a1", "b2")))
-    with pytest.raises(RegisterError):
-        reduce_copy(s, (("a1",), ("b1",)))
+        stage(s)
+
+
+@pytest.mark.parametrize("kind", BELL_KINDS)
+def test_reduce_reads_logic_qubits_from_any_labels(kind):
+    n = 3
+    relabelled = tuple(f"{p}{i}" for p in "xy" for i in range(1, n + 1))
+    original = make_logic_bell(n, kind)
+    got = reduce_copy(with_labels(original, relabelled))
+    want = with_labels(reduce_copy(original), relabelled)
+    assert got.register.labels == relabelled
+    assert overlap(want, got) == pytest.approx(1.0, abs=1e-12)
 
 
 BENNETT_CASES = {
