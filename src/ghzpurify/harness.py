@@ -240,6 +240,9 @@ class ExperimentConfig:
                 raise ConfigError(f"out {out}: directory {out.parent} does not exist")
             if out.is_dir():
                 raise ConfigError(f"out {out} is a directory")
+            sidecar = out.with_suffix(".json")
+            if sidecar.is_dir():
+                raise ConfigError(f"out {out}: its sidecar {sidecar} is a directory")
 
     def as_dict(self) -> dict:
         d = {}

@@ -8,6 +8,10 @@ applies one Pauli realization of the error otherwise:
   logic-phaseflip  X on every physical qubit of the target logic qubit
   phys-bitflip     X on the addressed physical qubit
   phys-phaseflip   Z on the addressed physical qubit
+
+A logic bit flip and a physical phase flip are one operator: Z on one mode of
+a GHZ block swaps G+ and G-, the logic X. `error_operator` builds both in one
+branch, on the first mode unless a position is given.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from dataclasses import dataclass
 
 from .errors import RegisterError
 from .gates import PauliString, apply_pauli
-from .states import Ensemble, make_register, map_branches
+from .states import Ensemble, logic_register, map_branches
 
 
 class ErrorKind(str, enum.Enum):
@@ -71,18 +75,15 @@ class ErrorModel:
 
 def error_operator(model: ErrorModel, n: int) -> PauliString:
     """Concrete Pauli realization of the model on an n-per-logic-qubit register."""
-    labels = make_register([(model.target.lower(), n)]).labels
-    if model.kind is ErrorKind.LOGIC_BITFLIP:
-        pos = 0 if model.position is None else model.position
-        if pos >= n:
-            raise RegisterError(f"position {pos} out of range for n={n}")
-        return PauliString({labels[pos]: "Z"})
+    labels = logic_register(n).labels
+    block = labels[:n] if model.target == "A" else labels[n:]
     if model.kind is ErrorKind.LOGIC_PHASEFLIP:
-        return PauliString({lab: "X" for lab in labels})
-    if model.position is None or model.position >= n:
-        raise RegisterError(f"position {model.position} out of range for n={n}")
+        return PauliString({lab: "X" for lab in block})
+    pos = 0 if model.position is None else model.position
+    if pos >= n:
+        raise RegisterError(f"position {pos} out of range for n={n}")
     pauli = "X" if model.kind is ErrorKind.PHYS_BITFLIP else "Z"
-    return PauliString({labels[model.position]: pauli})
+    return PauliString({block[pos]: pauli})
 
 
 def apply_error_model(e: Ensemble, model: ErrorModel, n: int) -> Ensemble:

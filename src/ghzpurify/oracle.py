@@ -25,8 +25,8 @@ from .states import (
     DensityMatrix,
     Ensemble,
     Register,
+    logic_register,
     make_logic_bell,
-    make_register,
     to_density_matrix,
 )
 
@@ -179,7 +179,7 @@ def oracle_purify_round(
             f"oracle round at n={n} needs {2 * n + 2} qubits;"
             f" density matrices are capped at {DENSITY_MAX_QUBITS} qubits"
         )
-    reg_ab = make_register([("a", n), ("b", n)])
+    reg_ab = logic_register(n)
     # the fan-outs permute basis states: run them on an index array
     perm = np.arange(4**n).reshape((2,) * (2 * n))
     for p, k in itertools.product("ab", range(2, n + 1)):

@@ -42,10 +42,12 @@ from .gates import (
     outcome_probability,
     reset_qubit,
 )
+from .noise import ErrorKind, ErrorModel, apply_error_model
 from .states import (
     Ensemble,
     PureState,
     fidelity,
+    logic_register,
     make_logic_bell,
     map_branches,
     tensor_ensembles,
@@ -194,16 +196,11 @@ class ProtocolOutcome:
 
 
 def canonical_pair(n: int, basis: str, f: float) -> Ensemble:
-    """Two-branch noisy pair: phi+ with weight f, the basis error otherwise."""
+    """Noisy pair: phi+ with weight f, else the basis's logic error on B."""
     if basis not in BASES:
         raise ValueError(f"basis must be one of {BASES}")
-    good = make_logic_bell(n, "phi+")
-    if f == 1.0:
-        return Ensemble.pure(good)
-    bad = make_logic_bell(n, "psi+" if basis == "bit" else "phi-")
-    if f == 0.0:
-        return Ensemble.pure(bad)
-    return Ensemble(((f, good), (1.0 - f, bad)))
+    kind = ErrorKind.LOGIC_BITFLIP if basis == "bit" else ErrorKind.LOGIC_PHASEFLIP
+    return apply_error_model(Ensemble.pure(make_logic_bell(n, "phi+")), ErrorModel(kind, f), n)
 
 
 SACRIFICED = ("c1", "d1")
@@ -243,7 +240,7 @@ def lift_kept(kept: Ensemble) -> tuple[Ensemble, float]:
 
 
 def _run_single_round(n: int, basis: str, pair: Ensemble) -> ProtocolOutcome:
-    expected = tuple(f"{p}{i}" for p in "ab" for i in range(1, n + 1))
+    expected = logic_register(n).labels
     if pair.register.labels != expected:
         raise RegisterError(
             f"input pair must live on {expected}, got {pair.register.labels}"

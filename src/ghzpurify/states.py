@@ -44,7 +44,6 @@ class Register:
 
     labels: tuple[str, ...]
     _index: dict[str, int] = field(init=False, repr=False, compare=False)
-    _masks: dict[tuple, np.uint64] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         labels = tuple(self.labels)
@@ -61,7 +60,6 @@ class Register:
                 raise RegisterError(f"duplicate label {lab!r}")
             index[lab] = k
         object.__setattr__(self, "_index", index)
-        object.__setattr__(self, "_masks", {})
 
     @property
     def n_qubits(self) -> int:
@@ -77,28 +75,14 @@ class Register:
         return [self.index_of(lab) for lab in labels]
 
     def mask(self, labels: Iterable[str]) -> np.uint64:
-        """Basis-index bits of the given qubits, cached per label tuple."""
-        key = tuple(labels)
-        if key not in self._masks:
-            bits = {1 << (self.n_qubits - 1 - self.index_of(lab)) for lab in key}
-            self._masks[key] = np.uint64(sum(bits))
-        return self._masks[key]
+        """Basis-index bits of the given qubits."""
+        bits = {1 << (self.n_qubits - 1 - self.index_of(lab)) for lab in labels}
+        return np.uint64(sum(bits))
 
 
-def make_register(groups: Sequence[tuple[str, int]]) -> Register:
-    """Build a register from (prefix, count) groups: ("a", 2) -> a1, a2."""
-    seen = set()
-    labels: list[str] = []
-    for prefix, count in groups:
-        if not prefix:
-            raise RegisterError("empty prefix")
-        if prefix in seen:
-            raise RegisterError(f"duplicate prefix {prefix!r}")
-        if count < 1:
-            raise RegisterError(f"group {prefix!r} needs at least one qubit")
-        seen.add(prefix)
-        labels.extend(f"{prefix}{i}" for i in range(1, count + 1))
-    return Register(tuple(labels))
+def logic_register(n: int) -> Register:
+    """A logic pair's register: a1..an (logic qubit A), then b1..bn (B)."""
+    return Register(tuple(f"{p}{i}" for p in "ab" for i in range(1, n + 1)))
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -202,8 +186,7 @@ def make_logic_bell(n: int, kind: str) -> PureState:
     # non-zero only where each block reads all 0 or all 1
     block = np.array([0, 2**n - 1], dtype=np.uint64)
     idx = ((block[:, None] << np.uint64(n)) | block).ravel()
-    reg = make_register([("a", n), ("b", n)])
-    return PureState._adopt(reg, idx[vals != 0], vals[vals != 0])
+    return PureState._adopt(logic_register(n), idx[vals != 0], vals[vals != 0])
 
 
 def _check_same_register(a: Register, b: Register) -> None:

@@ -36,6 +36,7 @@ from .states import (
     PureState,
     Register,
     basis_state,
+    logic_register,
     make_bell,
     make_logic_bell,
     overlap,
@@ -126,7 +127,8 @@ def check_reduction_concentrates(ns: tuple[int, ...]) -> CheckResult:
     Bell pair on the first modes, all other modes exactly |0>."""
     dev = 0.0
     for n in ns:
-        rest = tuple(f"{p}{i}" for p in "ab" for i in range(2, n + 1))
+        labels = logic_register(n).labels
+        rest = labels[1:n] + labels[n + 1:]
         zeros = basis_state(Register(rest), [0] * len(rest))
         for kind in BELL_KINDS:
             got = reduce_copy(make_logic_bell(n, kind))

@@ -1,6 +1,13 @@
-"""Gate-list descriptors run on the statevector engine, as references for tests."""
+"""Test helpers: registers built from (prefix, count) groups, and gate-list
+descriptors run on the statevector engine as references."""
 
 from ghzpurify.gates import apply_cnot, apply_h, apply_x, apply_z
+from ghzpurify.states import Register
+
+
+def register(groups):
+    """Register from (prefix, count) groups: ("a", 2) -> a1, a2."""
+    return Register(tuple(f"{p}{i}" for p, count in groups for i in range(1, count + 1)))
 
 
 def apply_circuit(s, ops):

@@ -165,20 +165,24 @@ def test_out_writes_files(runner, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "out, message",
+    "out, dirs, message",
     [
-        ("rows.json", "would be overwritten by its .json sidecar"),
-        ("missing/rows.csv", "does not exist"),
-        ("", "is a directory"),
+        ("rows.json", (), "would be overwritten by its .json sidecar"),
+        ("missing/rows.csv", (), "does not exist"),
+        ("", (), "is a directory"),
+        ("x", ("x.json",), "its sidecar"),
     ],
-    ids=["json-suffix", "missing-directory", "directory"],
+    ids=["json-suffix", "missing-directory", "directory", "sidecar-directory"],
 )
 def test_out_that_cannot_be_written_exits_2_before_any_state_is_built(
-    runner, monkeypatch, tmp_path, out, message
+    runner, monkeypatch, tmp_path, out, dirs, message
 ):
     def fail(*_args, **_kwargs):
         raise AssertionError("a state was built before the out check")
 
+    made = [tmp_path / d for d in dirs]
+    for d in made:
+        d.mkdir()
     monkeypatch.setattr(ghzpurify.harness, "make_logic_bell", fail)
     result = runner.invoke(
         main, ["purify", "--fidelity", "0.8", "--out", str(tmp_path / out)]
@@ -186,7 +190,7 @@ def test_out_that_cannot_be_written_exits_2_before_any_state_is_built(
     assert result.exit_code == 2
     assert result.stdout == ""
     assert message in result.stderr
-    assert list(tmp_path.iterdir()) == []
+    assert list(tmp_path.iterdir()) == made
 
 
 def test_sampled_round_with_no_kept_shot_exits_2(runner, tmp_path):

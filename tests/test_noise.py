@@ -73,6 +73,17 @@ def test_logic_bitflip_position_independent(n, position):
     assert abs(overlap(make_logic_bell(n, "psi+"), s)) == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("target", ["A", "B"])
+def test_phys_phaseflip_and_logic_bitflip_are_one_operator(n, target):
+    for position in range(n):
+        logic, phys = (
+            error_operator(ErrorModel(kind, 0.5, target, position), n)
+            for kind in (ErrorKind.LOGIC_BITFLIP, ErrorKind.PHYS_PHASEFLIP)
+        )
+        assert logic == phys
+
+
 @pytest.mark.parametrize("n", [2, 3])
 def test_phys_phaseflip_equals_logic_bitflip(n):
     for position in range(n):

@@ -22,13 +22,12 @@ from ghzpurify.states import (
     PureState,
     Register,
     make_logic_bell,
-    make_register,
     map_branches,
     to_density_matrix,
     with_labels,
 )
 
-from circuits import apply_circuit
+from circuits import apply_circuit, register
 
 
 def _random_state(rng, labels):
@@ -190,7 +189,7 @@ def _postselect_equal(t, n, qc, qd):
 
 def _oracle_round_4n(n, basis, f):
     """Reference spelling of the round on all 4n qubits of rho (x) rho."""
-    reg = make_register([("a", n), ("b", n), ("c", n), ("d", n)])
+    reg = register([("a", n), ("b", n), ("c", n), ("d", n)])
     pair = oracle._logic_pair_density(n, f, "psi+" if basis == "bit" else "phi-")
     size = reg.n_qubits
     t = np.kron(pair, pair).reshape((2,) * (2 * size))
@@ -232,7 +231,7 @@ def test_oracle_staging_agrees_with_4n_reference(basis, f):
 def _oracle_round_kron(n, basis, f):
     """Reference spelling of the 2n + 2 staging: rho (x) the second copy's
     (a1, b1) corner, with the bilateral CNOTs conjugated gate by gate."""
-    reg_ab = make_register([("a", n), ("b", n)])
+    reg_ab = register([("a", n), ("b", n)])
     rho = oracle._logic_pair_density(n, f, "psi+" if basis == "bit" else "phi-")
     dim = len(rho)
     t1 = rho.reshape((2,) * (4 * n))
@@ -247,7 +246,7 @@ def _oracle_round_kron(n, basis, f):
             corner[q] = corner[2 * n + q] = 0
     sacrificed = t1[tuple(corner)].reshape(4, 4)
     size = 2 * n + 2
-    reg = make_register([("a", n), ("b", n), ("c", 1), ("d", 1)])
+    reg = register([("a", n), ("b", n), ("c", 1), ("d", 1)])
     t = np.kron(rho, sacrificed).reshape((2,) * (2 * size))
     oracle._apply_ops(t, size, [("cnot", "a1", "c1"), ("cnot", "b1", "d1")], reg)
     t4 = t.reshape(dim, 4, dim, 4)

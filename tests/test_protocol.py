@@ -1,9 +1,13 @@
+import itertools
+
+import numpy as np
 import pytest
 
 from ghzpurify.errors import RegisterError, UnsupportedInputError
 from ghzpurify.gates import apply_h, apply_x, outcome_probability
 from ghzpurify.noise import ErrorKind, ErrorModel, apply_error_model
 from ghzpurify.protocol import (
+    BASES,
     PurifyConfig,
     bennett_step,
     canonical_pair,
@@ -25,12 +29,13 @@ from ghzpurify.states import (
     fidelity,
     make_bell,
     make_logic_bell,
-    make_register,
     overlap,
     permute,
     tensor,
     with_labels,
 )
+
+from circuits import register
 
 
 def _reduced_expectation(kind, n):
@@ -86,7 +91,7 @@ def test_recover_rejects_dirty_ancilla():
 )
 def test_stage_refuses_register_without_two_logic_qubits(stage, n_qubits):
     # 2 qubits split into one-mode logic qubits; 3 cannot be split in half
-    s = basis_state(make_register([("q", n_qubits)]), [0] * n_qubits)
+    s = basis_state(register([("q", n_qubits)]), [0] * n_qubits)
     with pytest.raises(RegisterError):
         stage(s)
 
@@ -184,6 +189,17 @@ def test_canonical_pair_branches():
     assert fidelity(phase, make_logic_bell(2, "phi-")) == pytest.approx(0.3)
     assert len(canonical_pair(2, "bit", 1.0).branches) == 1
     assert len(canonical_pair(2, "bit", 0.0).branches) == 1
+    # value by value: (f, phi+) and (1 - f, psi+ or phi-), no zero-weight branch
+    for n, basis, f in itertools.product(range(2, 12), BASES, (0.0, 0.3, 0.8, 1.0)):
+        good = make_logic_bell(n, "phi+")
+        bad = make_logic_bell(n, "psi+" if basis == "bit" else "phi-")
+        expected = [(w, s) for w, s in ((f, good), (1.0 - f, bad)) if w > 0.0]
+        got = canonical_pair(n, basis, f).branches
+        assert [w for w, _ in got] == [w for w, _ in expected]
+        for (_, s), (_, t) in zip(got, expected):
+            assert s.register == t.register
+            assert np.array_equal(s.idx, t.idx)
+            assert np.array_equal(s.vals, t.vals)
 
 
 @pytest.mark.parametrize("basis", ["bit", "phase"])
