@@ -3,10 +3,10 @@
 Result tables go to stdout (or --out) as CSV and are byte-identical for a
 fixed config and seed; progress and timing go to stderr. Exit codes: 0 on
 success, 1 when a verification check fails, 2 for an invalid configuration
-(including a missing config file, an --out path that is a directory, whose
-directory is missing or whose suffix is .json, a flip position outside 1..n
-and a sampled round that keeps none of its shots), 3 when the request is
-outside the protocol's domain (for example a flip on the control mode).
+(including a missing config file, an --out path that is a directory, ends in
+a separator, lies in a missing directory or has a .json suffix, a flip
+position outside 1..n and a sampled round that keeps none of its shots), 3
+when the request is outside the protocol's domain (say, a control-mode flip).
 """
 
 from __future__ import annotations

@@ -13,12 +13,13 @@ bit for bit, so seed and stream must lie in [0, 2**128). Counter words 0, 2
 and 3 are the same for every shot of a call, so the products of the lanes
 they feed (both in round 1, M1's in round 2, M0's in round 3) are computed
 once per call as Python ints. A branch draw u >= f is decided on the integer
-word, as w >= ceil(f * 2**53) << 11, which no word reaches at f = 1. Each
-shot looks its outcome up in tables built by protocol's own prepare, compare
-and lift stages, so the sampler runs the same circuit as the exact engine;
-the tables depend only on (n, basis) and are built once each. The
-wall_time_ms CSV column is written as 0 to keep output files
-byte-reproducible; actual timing goes to stderr.
+word, as w >= ceil(f * 2**53) << 11, which no word reaches at f = 1. Exact
+and sampled rows run one loop, where every round starts from protocol's
+canonical pair at its input fidelity: the exact engine runs that pair with
+purify_round, and each shot looks its outcome up in tables that protocol's
+own prepare, compare and lift stages build from it, so both run the same
+circuit. The tables depend only on (n, basis) and are built once each. The
+wall_time_ms column reads 0 for byte-reproducible files; timing goes to stderr.
 """
 
 from __future__ import annotations
@@ -39,9 +40,9 @@ from .protocol import (
     canonical_pair,
     compare_copies,
     correct_physical_bitflip,
-    iterate_rounds,
     lift_kept,
     prepare_copy,
+    purify_round,
 )
 from .states import MAX_QUBITS, Ensemble, make_logic_bell, map_branches
 
@@ -233,6 +234,9 @@ class ExperimentConfig:
             )
         if self.out:
             out = Path(self.out)
+            # Path drops a trailing separator or "/.", leaving the directory's name
+            if not self.out.endswith(out.name):
+                raise ConfigError(f"out {self.out} does not end in a file name")
             # write_results puts the sidecar at out with a .json suffix
             if out.suffix == ".json":
                 raise ConfigError(f"out {out} would be overwritten by its .json sidecar")
@@ -470,16 +474,6 @@ def sample_purify(
     return SampleEstimate(kept / shots, fid_sum / kept)
 
 
-def _noisy_pair(cfg: ExperimentConfig, f: float, target: str) -> Ensemble:
-    """A phi+ pair with the configured error on logic qubit `target` at
-    fidelity f; a physical error without a flip position sits on mode 1."""
-    position = None
-    if cfg.error.is_physical or cfg.flip_position is not None:
-        position = (cfg.flip_position - 1) if cfg.flip_position is not None else 0
-    model = ErrorModel(kind=cfg.error, fidelity=f, target=target, position=position)
-    return apply_error_model(Ensemble.pure(make_logic_bell(cfg.n, "phi+")), model, cfg.n)
-
-
 def run_purify(cfg: ExperimentConfig) -> list[ResultRow]:
     return _sweep_rows(cfg, [cfg.fidelity])
 
@@ -495,38 +489,25 @@ def _row(
     return ResultRow(cfg.n, cfg.error.value, r, f_in, f_out, p, shots, cfg.seed)
 
 
-def _sampled_rounds(cfg: ExperimentConfig, f: float, stream: int):
-    """(fidelity, success) of each sampled round, one Philox stream per round."""
-    for r in range(cfg.rounds):
-        basis = cfg.error.basis if r == 0 else "bit"
-        est = sample_purify(cfg.n, basis, f, cfg.shots, cfg.seed, stream + r)
-        f = est.fidelity
-        yield est.fidelity, est.success_probability
-
-
 def _sweep_rows(cfg: ExperimentConfig, grid: list[float]) -> list[ResultRow]:
     """Rows of every round at every grid point; exact when shots is 0.
 
-    Grid point i samples its rounds on streams i*rounds .. i*rounds + rounds - 1.
+    Every round starts from the canonical pair at its input fidelity and
+    purifies in the configured error's basis in round 1, in the bit basis
+    after that. A physical phase flip on any mode of B is the logic bit flip
+    of the canonical pair, so flip_position does not change a row. Grid point
+    i samples round r on stream i*rounds + r.
     """
     rows: list[ResultRow] = []
     for i, f in enumerate(grid):
-        if cfg.shots == 0:
-            pair = _noisy_pair(cfg, f, "B")
-            pcfg = PurifyConfig(
-                n=cfg.n, error_basis=cfg.error.basis, input_fidelity=f, rounds=cfg.rounds
-            )
-            rounds = (
-                (out.fidelity, out.success_probability)
-                for out in iterate_rounds(pcfg, input_pair=pair)
-            )
-        else:
-            # the sampler reads its tables, never the noisy pair
-            rounds = _sampled_rounds(cfg, f, i * cfg.rounds)
-        f_in = f
-        for r, (f_out, p) in enumerate(rounds, start=1):
-            rows.append(_row(cfg, r, f_in, f_out, p, cfg.shots))
-            f_in = f_out
+        for r in range(cfg.rounds):
+            basis = cfg.error.basis if r == 0 else "bit"
+            if cfg.shots == 0:
+                out = purify_round(PurifyConfig(cfg.n, basis, f))
+            else:
+                out = sample_purify(cfg.n, basis, f, cfg.shots, cfg.seed, i * cfg.rounds + r)
+            rows.append(_row(cfg, r + 1, f, out.fidelity, out.success_probability, cfg.shots))
+            f = out.fidelity
     return rows
 
 
@@ -538,8 +519,10 @@ def run_correct(cfg: ExperimentConfig) -> list[ResultRow]:
     and deterministic, so rows always carry shots = 0.
     """
     f = 0.0 if cfg.fidelity is None else cfg.fidelity
+    position = cfg.flip_position - 1
+    model = ErrorModel(kind=cfg.error, fidelity=f, target="A", position=position)
+    pair = apply_error_model(Ensemble.pure(make_logic_bell(cfg.n, "phi+")), model, cfg.n)
     outcome = correct_physical_bitflip(
-        _noisy_pair(cfg, f, "A"), suspected_logic_qubit="A", path="qnd",
-        flip_position=cfg.flip_position - 1,
+        pair, suspected_logic_qubit="A", path="qnd", flip_position=position
     )
     return [_row(cfg, 1, f, outcome.fidelity, outcome.success_probability, 0)]

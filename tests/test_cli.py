@@ -1,4 +1,5 @@
 import importlib.metadata
+import os
 
 import click
 import pytest
@@ -110,6 +111,17 @@ def test_flip_position_outside_the_modes_exits_2(runner, command, position):
     assert f"flip-position must name a mode 1..2, got {position}" in result.stderr
 
 
+def _forbid_building_a_state(monkeypatch, message):
+    """Make every module that builds a logic Bell pair raise `message`."""
+    def fail(*_args, **_kwargs):
+        raise AssertionError(message)
+
+    for module in (
+        ghzpurify.states, ghzpurify.protocol, ghzpurify.verify, ghzpurify.harness
+    ):
+        monkeypatch.setattr(module, "make_logic_bell", fail)
+
+
 @pytest.mark.parametrize(
     "args, message",
     [
@@ -125,11 +137,7 @@ def test_flip_position_outside_the_modes_exits_2(runner, command, position):
 def test_oversize_block_refused_before_any_state_is_built(
     runner, monkeypatch, args, message
 ):
-    def fail(*_args, **_kwargs):
-        raise AssertionError("a state was built before the size check")
-
-    for module in (ghzpurify.states, ghzpurify.protocol, ghzpurify.verify):
-        monkeypatch.setattr(module, "make_logic_bell", fail)
+    _forbid_building_a_state(monkeypatch, "a state was built before the size check")
     result = runner.invoke(main, args)
     assert result.exit_code == 2
     assert result.stdout == ""
@@ -171,22 +179,23 @@ def test_out_writes_files(runner, tmp_path):
         ("missing/rows.csv", (), "does not exist"),
         ("", (), "is a directory"),
         ("x", ("x.json",), "its sidecar"),
+        ("new/", (), "does not end in a file name"),
     ],
-    ids=["json-suffix", "missing-directory", "directory", "sidecar-directory"],
+    ids=[
+        "json-suffix", "missing-directory", "directory", "sidecar-directory",
+        "trailing-separator",
+    ],
 )
 def test_out_that_cannot_be_written_exits_2_before_any_state_is_built(
     runner, monkeypatch, tmp_path, out, dirs, message
 ):
-    def fail(*_args, **_kwargs):
-        raise AssertionError("a state was built before the out check")
-
     made = [tmp_path / d for d in dirs]
     for d in made:
         d.mkdir()
-    monkeypatch.setattr(ghzpurify.harness, "make_logic_bell", fail)
-    result = runner.invoke(
-        main, ["purify", "--fidelity", "0.8", "--out", str(tmp_path / out)]
-    )
+    _forbid_building_a_state(monkeypatch, "a state was built before the out check")
+    # tmp_path / "new/" drops the trailing separator, so it is added back
+    path = str(tmp_path / out) + (os.sep if out.endswith("/") else "")
+    result = runner.invoke(main, ["purify", "--fidelity", "0.8", "--out", path])
     assert result.exit_code == 2
     assert result.stdout == ""
     assert message in result.stderr

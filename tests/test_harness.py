@@ -1,7 +1,13 @@
 import hashlib
+import itertools
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,9 +32,15 @@ from ghzpurify.harness import (
     shot_rng,
     write_results,
 )
-from ghzpurify.noise import ErrorKind
-from ghzpurify.protocol import one_round_fidelity_map, one_round_success_probability
-from ghzpurify.states import EXACT_TOL
+import ghzpurify
+from ghzpurify.noise import ErrorKind, ErrorModel, apply_error_model
+from ghzpurify.protocol import (
+    PurifyConfig,
+    iterate_rounds,
+    one_round_fidelity_map,
+    one_round_success_probability,
+)
+from ghzpurify.states import EXACT_TOL, Ensemble, make_logic_bell
 
 
 def _purify_cfg(**overrides):
@@ -182,6 +194,28 @@ def test_run_purify_phys_phaseflip_matches_map():
     rows = run_purify(cfg)
     assert rows[0].output_fidelity == pytest.approx(16 / 17, abs=1e-12)
     assert rows[0].success_probability == pytest.approx(0.68, abs=1e-12)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_rows_do_not_depend_on_flip_position(n):
+    # every round starts from the canonical pair; the engine on the pair with
+    # Z on b_k must give the same floats at every k
+    for rounds, f in itertools.product((1, 2), (0.0, 0.3, 0.5, 0.8, 1.0)):
+        sampled = set()
+        for k in range(1, n + 1):
+            cfg = _purify_cfg(
+                n=n, error=ErrorKind.PHYS_PHASEFLIP, fidelity=f, rounds=rounds,
+                flip_position=k,
+            )
+            model = ErrorModel(ErrorKind.PHYS_PHASEFLIP, f, "B", k - 1)
+            pair = apply_error_model(Ensemble.pure(make_logic_bell(n, "phi+")), model, n)
+            engine = iterate_rounds(PurifyConfig(n, "bit", f, rounds), input_pair=pair)
+            rows = run_purify(cfg)
+            assert [(row.output_fidelity, row.success_probability) for row in rows] == [
+                (out.fidelity, out.success_probability) for out in engine
+            ]
+            sampled.add(render_csv(run_purify(replace(cfg, shots=500, seed=11))))
+        assert len(sampled) == 1
 
 
 def test_run_sweep_grid_order_and_values():
@@ -446,3 +480,22 @@ def test_csv_bytes_identical_across_processes(tmp_path):
     assert b"wall_time_ms" in first
     for line in first.decode().splitlines()[1:]:
         assert line.rsplit(",", 1)[1] == "0"
+    # separate interpreters under different hash seeds, so that a dependence
+    # on set or dict order shows; exact and sampled phys-phase sweeps
+    src = str(Path(ghzpurify.__file__).resolve().parents[1])
+    for shots in ("0", "500"):
+        args = [
+            sys.executable, "-m", "ghzpurify.cli", "sweep", "--n", "3",
+            "--error", "phys-phase", "--flip-position", "2", "--f-min", "0.6",
+            "--f-max", "0.9", "--steps", "4", "--rounds", "2", "--shots", shots,
+            "--seed", "13", "--out", "rows.csv",
+        ]
+        outputs = []
+        for hash_seed in ("1", "2"):
+            cwd = tmp_path / f"shots{shots}-hash{hash_seed}"
+            cwd.mkdir()
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+            subprocess.run(args, cwd=cwd, env=env, check=True, capture_output=True)
+            outputs.append([(cwd / name).read_bytes() for name in ("rows.csv", "rows.json")])
+        assert outputs[0] == outputs[1]
+        assert outputs[0][0].count(b"\n") == 9
