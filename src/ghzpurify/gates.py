@@ -2,9 +2,10 @@
 
 Kernels work on a state's sparse form (states.PureState), so each costs in
 proportion to the number of nonzero amplitudes, never to 2^n. X and CNOT
-fan-outs XOR the index, which is then re-sorted, and Z is a sign. H sends
-every entry to both halves of its qubit and sums the entries that meet; only
-sums that cancel to exactly 0 are dropped. A joint measurement groups each
+fan-outs XOR the index, which is then re-sorted once per call however many
+fan-outs it applies, and Z is a sign. H sends every entry to both halves of
+each of its qubits in turn and sums the entries that meet; only sums that
+cancel to exactly 0 are dropped. A joint measurement groups each
 branch's entries by the measured bits. Measured qubits stay in the register;
 use discard() to drop qubits that sit in a definite basis state.
 """
@@ -17,7 +18,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import RegisterError
-from .states import Ensemble, PureState, Register, gather_bits
+from .states import Ensemble, PureState, Register, gather_bits, shared_register
 
 # outcomes below this probability are treated as impossible
 OUTCOME_EPS = 1e-12
@@ -52,20 +53,24 @@ def _runs(keys: np.ndarray) -> np.ndarray:
     return np.flatnonzero(first)
 
 
-def apply_h(s: PureState, label: str) -> PureState:
-    m = s.register.mask([label])
-    half = _H_AMP * s.vals
-    low = s.idx & ~m
-    idx = np.concatenate((low, low | m))
-    vals = np.concatenate((half, np.where(s.idx & m, -half, half)))
-    # at most two entries meet at an index, and a two-term sum is the same
-    # in either order, so an unstable sort is enough
-    order = np.argsort(idx)
-    idx, vals = idx[order], vals[order]
-    starts = _runs(idx)
-    vals = np.add.reduceat(vals, starts)
-    keep = vals != 0
-    return PureState._adopt(s.register, idx[starts][keep], vals[keep])
+def apply_h(s: PureState, *labels: str) -> PureState:
+    """H on each label in turn, merging after each one, with one seal."""
+    idx, vals = s.idx, s.vals
+    for label in labels:
+        m = s.register.mask([label])
+        half = _H_AMP * vals
+        low = idx & ~m
+        vals = np.concatenate((half, np.where(idx & m, -half, half)))
+        idx = np.concatenate((low, low | m))
+        # at most two entries meet at an index, and a two-term sum is the
+        # same in either order, so an unstable sort is enough
+        order = np.argsort(idx)
+        idx, vals = idx[order], vals[order]
+        starts = _runs(idx)
+        vals = np.add.reduceat(vals, starts)
+        keep = vals != 0
+        idx, vals = idx[starts][keep], vals[keep]
+    return PureState._adopt(s.register, idx, vals)
 
 
 def apply_x(s: PureState, label: str) -> PureState:
@@ -86,15 +91,23 @@ def apply_pauli(s: PureState, p: PauliString) -> PureState:
     return _sorted(s.register, s.idx ^ s.register.mask(xs), s.vals) if xs else s
 
 
+def apply_fan_outs(s: PureState, *groups: tuple[str, Sequence[str]]) -> PureState:
+    """CNOT fan-outs in order, each (control, targets) flipping every target
+    where its control reads 1, as one XOR per group and one re-sort."""
+    idx = s.idx
+    for control, targets in groups:
+        c = s.register.index_of(control)
+        ts = s.register.positions(targets)
+        if not ts or c in ts or len(set(ts)) != len(ts):
+            raise RegisterError("need distinct targets that differ from the control")
+        flipped = idx ^ s.register.mask(targets)
+        idx = np.where(idx & s.register.mask([control]), flipped, idx)
+    return _sorted(s.register, idx, s.vals)
+
+
 def apply_cnot(s: PureState, control: str, *targets: str) -> PureState:
     """Flip every target where the control reads 1, in one XOR."""
-    c = s.register.index_of(control)
-    ts = s.register.positions(targets)
-    if not ts or c in ts or len(set(ts)) != len(ts):
-        raise RegisterError("need distinct targets that differ from the control")
-    flipped = s.idx ^ s.register.mask(targets)
-    idx = np.where(s.idx & s.register.mask([control]), flipped, s.idx)
-    return _sorted(s.register, idx, s.vals)
+    return apply_fan_outs(s, (control, targets))
 
 
 def _reads(s: PureState, label: str, outcome: int) -> np.ndarray:
@@ -202,7 +215,7 @@ def discard(s: PureState, labels: Sequence[str]) -> PureState:
                     raise RegisterError(f"qubit {lab!r} is not in a definite basis state")
     sub = s.vals[at]
     idx = gather_bits(s.idx[at], s.n_qubits, s.register.positions(keep))
-    return PureState._adopt(Register(keep), idx, sub / np.linalg.norm(sub))
+    return PureState._adopt(shared_register(keep), idx, sub / np.linalg.norm(sub))
 
 
 def reset_qubit(s: PureState, label: str) -> PureState:

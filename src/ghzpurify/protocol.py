@@ -9,10 +9,11 @@ an input whose reduced ancillas are not in |0> is rejected here. The second
 copy's ancillas are then dropped, so only its two first modes (c1, d1) join
 the first copy. The two kept modes of the first copy control CNOTs onto c1
 and d1, those are measured, and runs with unequal outcomes are thrown away.
-After post-selection c1 and d1 are dropped as well, and the surviving
-2n-mode states are lifted back to logic Bell pairs by the inverse of the
-reduction. Every state on the way has a handful of nonzero amplitudes, and
-the engine's cost follows them, not 2^(2n). These three stages are
+After post-selection c1 and d1 are dropped as well, and each distinct
+surviving 2n-mode state is lifted back to a logic Bell pair by the inverse of
+the reduction. Every state on the way has a handful of nonzero amplitudes,
+and the engine's cost follows them, not 2^(2n); each gate layer is one
+kernel call. These three stages are
 prepare_copy, compare_copies and lift_kept; the Monte Carlo sampler builds
 its outcome tables from the same functions. Each stage reads the logic qubits
 from its input's register: the first n modes are A, the last n are B.
@@ -35,6 +36,7 @@ from .errors import RegisterError, UnsupportedInputError
 from .gates import (
     OUTCOME_EPS,
     apply_cnot,
+    apply_fan_outs,
     apply_h,
     apply_x,
     discard,
@@ -76,11 +78,8 @@ def reduce_copy(s: PureState) -> PureState:
     with all other modes left in |0>.
     """
     modes = _logic_modes(s)
-    for group in modes:
-        s = apply_cnot(s, *group)
-    for group in modes:
-        s = apply_h(s, group[0])
-    return s
+    s = apply_fan_outs(s, *((group[0], group[1:]) for group in modes))
+    return apply_h(s, *(group[0] for group in modes))
 
 
 def _require_clear_ancillas(s: PureState) -> None:
@@ -106,11 +105,8 @@ def recover_logic(e: Ensemble) -> Ensemble:
     def lift(s: PureState) -> PureState:
         _require_clear_ancillas(s)
         modes = _logic_modes(s)
-        for group in modes:
-            s = apply_h(s, group[0])
-        for group in modes:
-            s = apply_cnot(s, *group)
-        return s
+        s = apply_h(s, *(group[0] for group in modes))
+        return apply_fan_outs(s, *((group[0], group[1:]) for group in modes))
 
     return map_branches(e, lift)
 
@@ -128,8 +124,8 @@ def bennett_step(
     labels = set(kept_pair) | set(sacrificed_pair)
     if len(labels) != 4:
         raise RegisterError("kept and sacrificed pairs must use four distinct modes")
-    for control, target in zip(kept_pair, sacrificed_pair):
-        e = map_branches(e, lambda s: apply_cnot(s, control, target))
+    groups = [(control, (target,)) for control, target in zip(kept_pair, sacrificed_pair)]
+    e = map_branches(e, lambda s: apply_fan_outs(s, *groups))
     return measure_ensemble(e, list(sacrificed_pair))
 
 
@@ -213,7 +209,7 @@ def prepare_copy(s: PureState, basis: str) -> PureState:
     _require_clear_ancillas(s)
     if basis == "phase":
         a, b = _logic_modes(s)
-        s = apply_h(apply_h(s, a[0]), b[0])
+        s = apply_h(s, a[0], b[0])
     return s
 
 
@@ -233,8 +229,13 @@ def compare_copies(
 
 
 def lift_kept(kept: Ensemble) -> tuple[Ensemble, float]:
-    """Drop c1 and d1, recover the logic pair, and give its fidelity to phi+."""
-    kept = recover_logic(map_branches(kept, lambda s: discard(s, SACRIFICED)))
+    """Drop c1 and d1, recover the logic pair, and give its fidelity to phi+.
+    Equal states are merged first, their weights summed, and lifted once."""
+    merged: dict[tuple[bytes, bytes], list] = {}
+    for w, s in kept.branches:
+        s = discard(s, SACRIFICED)
+        merged.setdefault((s.idx.tobytes(), s.vals.tobytes()), [0.0, s])[0] += w
+    kept = recover_logic(Ensemble(tuple((w, s) for w, s in merged.values())))
     n = kept.register.n_qubits // 2
     return kept, fidelity(kept, make_logic_bell(n, "phi+"))
 

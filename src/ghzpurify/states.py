@@ -17,6 +17,7 @@ density matrices exist only as a cross-check representation.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
@@ -44,6 +45,7 @@ class Register:
 
     labels: tuple[str, ...]
     _index: dict[str, int] = field(init=False, repr=False, compare=False)
+    _masks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         labels = tuple(self.labels)
@@ -75,14 +77,24 @@ class Register:
         return [self.index_of(lab) for lab in labels]
 
     def mask(self, labels: Iterable[str]) -> np.uint64:
-        """Basis-index bits of the given qubits."""
-        bits = {1 << (self.n_qubits - 1 - self.index_of(lab)) for lab in labels}
-        return np.uint64(sum(bits))
+        """Basis-index bits of the given qubits, cached per label tuple."""
+        key = tuple(labels)
+        if key not in self._masks:
+            bits = {1 << (self.n_qubits - 1 - self.index_of(lab)) for lab in key}
+            self._masks[key] = np.uint64(sum(bits))
+        return self._masks[key]
+
+
+@functools.lru_cache(maxsize=1024)
+def shared_register(labels: tuple[str, ...]) -> Register:
+    """The engine's one Register per label tuple, validated when first built;
+    a tuple that fails validation raises on every call."""
+    return Register(labels)
 
 
 def logic_register(n: int) -> Register:
     """A logic pair's register: a1..an (logic qubit A), then b1..bn (B)."""
-    return Register(tuple(f"{p}{i}" for p in "ab" for i in range(1, n + 1)))
+    return shared_register(tuple(f"{p}{i}" for p in "ab" for i in range(1, n + 1)))
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -115,7 +127,7 @@ class PureState:
 
     def _seal(self, register: Register, idx: np.ndarray, vals: np.ndarray) -> None:
         norm2 = float(np.vdot(vals, vals).real)
-        if abs(norm2 - 1.0) > _NORM_TOL:
+        if not abs(norm2 - 1.0) <= _NORM_TOL:  # NaN fails too
             raise ValueError(f"state is not normalized (norm^2 = {norm2})")
         idx.flags.writeable = vals.flags.writeable = False
         for name, value in (("register", register), ("idx", idx), ("vals", vals)):
@@ -161,9 +173,10 @@ def make_bell(kind: str, labels: tuple[str, str] = ("q1", "q2")) -> PureState:
     sign = 1.0 if kind.endswith("+") else -1.0
     idx = np.array([0b00, 0b11] if kind.startswith("phi") else [0b01, 0b10], dtype=np.uint64)
     vals = np.array([1 / _SQRT2, sign / _SQRT2], dtype=np.complex128)
-    return PureState._adopt(Register(tuple(labels)), idx, vals)
+    return PureState._adopt(shared_register(tuple(labels)), idx, vals)
 
 
+@functools.lru_cache(maxsize=256)
 def make_logic_bell(n: int, kind: str) -> PureState:
     """Logic Bell state on 2n qubits, each logic qubit an n-qubit GHZ block.
 
@@ -171,7 +184,7 @@ def make_logic_bell(n: int, kind: str) -> PureState:
     b1..bn, logic qubit B:
         phi+/- = (G+ G+ +- G- G-)/sqrt2
         psi+/- = (G+ G- +- G- G+)/sqrt2
-    with G+- the n-qubit GHZ states.
+    with G+- the n-qubit GHZ states. Cached: the state is immutable.
     """
     if n < 2:
         raise ValueError("logic qubits need n >= 2 physical qubits")
@@ -208,7 +221,7 @@ def tensor(s1: PureState, s2: PureState) -> PureState:
     common = set(s1.register.labels) & set(s2.register.labels)
     if common:
         raise RegisterError(f"overlapping labels {sorted(common)}")
-    reg = Register(s1.register.labels + s2.register.labels)
+    reg = shared_register(s1.register.labels + s2.register.labels)
     idx = (s1.idx[:, None] << np.uint64(s2.n_qubits)) | s2.idx
     return PureState._adopt(reg, idx.ravel(), np.multiply.outer(s1.vals, s2.vals).ravel())
 
@@ -217,7 +230,7 @@ def with_labels(s: PureState, labels: Sequence[str]) -> PureState:
     """Same amplitudes on a renamed register (order preserved)."""
     if len(labels) != s.n_qubits:
         raise RegisterError("label count mismatch")
-    return PureState._adopt(Register(tuple(labels)), s.idx, s.vals)
+    return PureState._adopt(shared_register(tuple(labels)), s.idx, s.vals)
 
 
 def permute(s: PureState, labels: Sequence[str]) -> PureState:
@@ -231,7 +244,7 @@ def permute(s: PureState, labels: Sequence[str]) -> PureState:
         return s
     idx = gather_bits(s.idx, s.n_qubits, s.register.positions(new))
     order = np.argsort(idx)
-    return PureState._adopt(Register(new), idx[order], s.vals[order])
+    return PureState._adopt(shared_register(new), idx[order], s.vals[order])
 
 
 def gather_bits(idx: np.ndarray, n: int, src: Sequence[int]) -> np.ndarray:

@@ -7,6 +7,7 @@ from ghzpurify.gates import (
     OUTCOME_EPS,
     PauliString,
     apply_cnot,
+    apply_fan_outs,
     apply_h,
     apply_pauli,
     apply_x,
@@ -282,6 +283,16 @@ def test_cnot_fan_out_rejects_bad_targets(control, targets):
     s = basis_state(Register(("q1", "q2", "q3")), "100")
     with pytest.raises(RegisterError):
         apply_cnot(s, control, *targets)
+
+
+@pytest.mark.parametrize(
+    "groups",
+    [(("q1", ("q2",)), ("q3", ("q3",))), (("q1", ("q2",)), ("q2", ())), (("q1", ("q9",)),)],
+)
+def test_fan_out_layer_rejects_any_bad_group(groups):
+    s = basis_state(Register(("q1", "q2", "q3")), "100")
+    with pytest.raises(RegisterError):
+        apply_fan_outs(s, *groups)
 
 
 def test_outcome_probability_and_project_match_reference_formulas():

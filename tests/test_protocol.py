@@ -4,15 +4,18 @@ import numpy as np
 import pytest
 
 from ghzpurify.errors import RegisterError, UnsupportedInputError
-from ghzpurify.gates import apply_h, apply_x, outcome_probability
+from ghzpurify.gates import apply_h, apply_x, discard, outcome_probability
 from ghzpurify.noise import ErrorKind, ErrorModel, apply_error_model
 from ghzpurify.protocol import (
     BASES,
+    SACRIFICED,
     PurifyConfig,
     bennett_step,
     canonical_pair,
+    compare_copies,
     correct_physical_bitflip,
     iterate_rounds,
+    lift_kept,
     one_round_fidelity_map,
     one_round_success_probability,
     postselect_equal,
@@ -29,6 +32,7 @@ from ghzpurify.states import (
     fidelity,
     make_bell,
     make_logic_bell,
+    map_branches,
     overlap,
     permute,
     tensor,
@@ -238,6 +242,86 @@ def test_two_rounds_compose():
     assert outs[1].success_probability == pytest.approx(
         one_round_success_probability(f1), abs=1e-12
     )
+
+
+# (fidelity, success) of rounds 1, 2 and 3 by float.hex, per (basis, f). They
+# are the same at every n. Pinned from the engine as it was before it summed
+# equal kept states, so a change in the order of a round's arithmetic shows.
+ROUND_HEX = {
+    ("bit", 0.0): (
+        ("0x1.0793ec2ff60b7p-121", "0x1.ffffffffffffap-1"),
+        ("0x1.0793ec2ff60b7p-121", "0x1.ffffffffffffap-1"),
+        ("0x1.0793ec2ff60b7p-121", "0x1.ffffffffffffap-1"),
+    ),
+    ("bit", 0.3): (
+        ("0x1.3dcb08d3dcb06p-3", "0x1.28f5c28f5c28bp-1"),
+        ("0x1.0b587f125c005p-5", "0x1.79c282e44cb53p-1"),
+        ("0x1.2a02b3a2261a6p-10", "0x1.dfac21d55c674p-1"),
+    ),
+    ("bit", 0.55): (
+        ("0x1.32b16cfd7720cp-1", "0x1.028f5c28f5c26p-1"),
+        ("0x1.618f83f8f2d63p-1", "0x1.0a09c98ae76e3p-1"),
+        ("0x1.aa606e5ff9706p-1", "0x1.252e12775c2e2p-1"),
+    ),
+    ("bit", 0.8): (
+        ("0x1.e1e1e1e1e1e17p-1", "0x1.5c28f5c28f5c0p-1"),
+        ("0x1.fe01fe01fe01ap-1", "0x1.c74ed65de56bdp-1"),
+        ("0x1.fffe0001fffdap-1", "0x1.fc07f40fec16cp-1"),
+    ),
+    ("bit", 1.0): (
+        ("0x1.ffffffffffffap-1", "0x1.ffffffffffffap-1"),
+        ("0x1.ffffffffffffap-1", "0x1.fffffffffffeep-1"),
+        ("0x1.ffffffffffffap-1", "0x1.fffffffffffeep-1"),
+    ),
+    ("phase", 0.0): (
+        ("0x1.0793ec2ff60b7p-121", "0x1.ffffffffffff8p-1"),
+        ("0x1.0793ec2ff60b7p-121", "0x1.ffffffffffffap-1"),
+        ("0x1.0793ec2ff60b7p-121", "0x1.ffffffffffffap-1"),
+    ),
+    ("phase", 0.3): (
+        ("0x1.3dcb08d3dcb05p-3", "0x1.28f5c28f5c28ap-1"),
+        ("0x1.0b587f125c002p-5", "0x1.79c282e44cb54p-1"),
+        ("0x1.2a02b3a2261a0p-10", "0x1.dfac21d55c674p-1"),
+    ),
+    ("phase", 0.55): (
+        ("0x1.32b16cfd7720cp-1", "0x1.028f5c28f5c25p-1"),
+        ("0x1.618f83f8f2d63p-1", "0x1.0a09c98ae76e3p-1"),
+        ("0x1.aa606e5ff9706p-1", "0x1.252e12775c2e2p-1"),
+    ),
+    ("phase", 0.8): (
+        ("0x1.e1e1e1e1e1e18p-1", "0x1.5c28f5c28f5bep-1"),
+        ("0x1.fe01fe01fe019p-1", "0x1.c74ed65de56bfp-1"),
+        ("0x1.fffe0001fffdap-1", "0x1.fc07f40fec16ap-1"),
+    ),
+    ("phase", 1.0): (
+        ("0x1.ffffffffffffap-1", "0x1.ffffffffffff8p-1"),
+        ("0x1.ffffffffffffap-1", "0x1.fffffffffffeep-1"),
+        ("0x1.ffffffffffffap-1", "0x1.fffffffffffeep-1"),
+    ),
+}
+
+
+@pytest.mark.parametrize("basis, f", sorted(ROUND_HEX))
+def test_round_floats_match_pinned_hex(basis, f):
+    for n in range(2, 7):
+        outs = iterate_rounds(PurifyConfig(n=n, error_basis=basis, input_fidelity=f, rounds=3))
+        got = tuple((o.fidelity.hex(), o.success_probability.hex()) for o in outs)
+        assert got == ROUND_HEX[basis, f], n
+
+
+@pytest.mark.parametrize("basis", BASES)
+@pytest.mark.parametrize("f, distinct", [(0.0, 1), (0.3, 2), (0.8, 2), (1.0, 1)])
+def test_lift_keeps_one_branch_per_distinct_kept_state(basis, f, distinct):
+    first = map_branches(canonical_pair(3, basis, f), lambda s: prepare_copy(s, basis))
+    p, kept = postselect_equal(compare_copies(first, first))
+    dropped = [discard(s, SACRIFICED) for _, s in kept.branches]
+    keys = {(s.idx.tobytes(), s.vals.tobytes()) for s in dropped}
+    assert len(kept.branches) == 2 * distinct and len(keys) == distinct
+    lifted, fid = lift_kept(kept)
+    assert len(lifted.branches) == distinct
+    assert lifted.weight_sum == pytest.approx(kept.weight_sum, abs=1e-12)
+    out = purify_round(PurifyConfig(n=3, error_basis=basis, input_fidelity=f))
+    assert len(out.output.branches) == distinct and out.fidelity == fid
 
 
 def test_phase_round_residual_is_bit_type():

@@ -80,6 +80,38 @@ def test_cnot_fan_out_matches_dense(s, data):
 
 @_EXAMPLES
 @given(_state(), st.data())
+def test_h_layer_equals_chained_h_and_dense(s, data):
+    labels = data.draw(st.lists(st.sampled_from(s.register.labels), min_size=1, max_size=4))
+    layer = gates.apply_h(s, *labels)
+    chained = ref = s
+    for label in labels:
+        chained = gates.apply_h(chained, label)
+        ref = dense.apply_single(ref, label, dense.H)
+    assert np.array_equal(layer.idx, chained.idx)
+    assert np.array_equal(layer.vals, chained.vals)
+    _assert_same_state(layer, ref)
+
+
+@_EXAMPLES
+@given(_state(min_n=2), st.data())
+def test_fan_out_layer_equals_sequential_cnots_and_dense(s, data):
+    groups = []
+    for _ in range(data.draw(st.integers(1, 3))):
+        labels = data.draw(st.permutations(s.register.labels))
+        k = data.draw(st.integers(1, len(labels) - 1))
+        groups.append((labels[0], tuple(labels[1 : 1 + k])))
+    layer = gates.apply_fan_outs(s, *groups)
+    sequential = ref = s
+    for control, targets in groups:
+        sequential = gates.apply_cnot(sequential, control, *targets)
+        ref = dense.apply_cnot(ref, control, *targets)
+    assert np.array_equal(layer.idx, sequential.idx)
+    assert np.array_equal(layer.vals, sequential.vals)
+    _assert_same_state(layer, ref)
+
+
+@_EXAMPLES
+@given(_state(), st.data())
 def test_pauli_string_matches_dense(s, data):
     ops = data.draw(st.dictionaries(st.sampled_from(s.register.labels), st.sampled_from("XZ")))
     p = PauliString(ops)

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from ghzpurify.errors import RegisterError
+from ghzpurify.gates import discard
 from ghzpurify.states import (
+    MAX_QUBITS,
     BELL_KINDS,
     DensityMatrix,
     Ensemble,
@@ -16,6 +18,7 @@ from ghzpurify.states import (
     map_branches,
     overlap,
     permute,
+    shared_register,
     tensor,
     tensor_ensembles,
     to_density_matrix,
@@ -76,6 +79,17 @@ def test_pure_state_requires_normalization():
     reg = Register(("q1",))
     with pytest.raises(ValueError):
         PureState(reg, np.array([1.0, 1.0]))
+
+
+def test_pure_state_refuses_nan_and_inf_amplitudes():
+    # a NaN or inf amplitude makes the norm NaN, which no comparison with
+    # the tolerance may let through
+    with pytest.raises(ValueError, match="not normalized"):
+        PureState(Register(("q1", "q2")), [np.nan, 0, 0, 0])
+    idx = np.array([0, 3], dtype=np.uint64)
+    vals = np.array([np.inf, 0.5], dtype=np.complex128)
+    with pytest.raises(ValueError, match="not normalized"):
+        PureState._adopt(Register(("q1", "q2")), idx, vals)
 
 
 def test_bell_state_amplitudes():
@@ -216,3 +230,44 @@ def test_density_matrix_qubit_cap():
     reg = register([("q", 13)])
     with pytest.raises(RegisterError, match="capped at 12 qubits"):
         DensityMatrix(reg, np.eye(2, dtype=np.complex128) / 2)
+
+
+def test_equal_label_tuples_share_one_register():
+    s = make_logic_bell(3, "phi+")
+    labels = s.register.labels
+    renamed = with_labels(s, labels)
+    back = permute(permute(s, labels[::-1]), labels)
+    reg = logic_register(3)
+    assert s.register is reg
+    assert renamed.register is reg and back.register is reg
+    assert tensor(basis_state(Register(("x",)), "0"), s).register is tensor(
+        basis_state(Register(("x",)), "1"), s
+    ).register
+    wider = tensor(s, basis_state(Register(("c1", "d1")), "00"))
+    assert discard(wider, ["c1", "d1"]).register is reg
+    # a direct construction still builds and validates its own register
+    assert Register(labels) is not reg and Register(labels) == reg
+
+
+@pytest.mark.parametrize(
+    "labels", [(), ("q1", "q1"), ("q1", ""), tuple(f"q{k}" for k in range(MAX_QUBITS + 1))]
+)
+def test_bad_label_tuples_raise_on_every_call(labels):
+    for _ in range(2):
+        for build in (Register, shared_register):
+            with pytest.raises(RegisterError):
+                build(labels)
+
+
+def test_engine_functions_refuse_bad_registers_on_every_call():
+    s = basis_state(Register(("q1", "q2")), "00")
+    widest = basis_state(Register(tuple(f"a{k}" for k in range(MAX_QUBITS))), "0" * MAX_QUBITS)
+    for _ in range(2):
+        with pytest.raises(RegisterError, match="duplicate"):
+            with_labels(s, ("q1", "q1"))
+        with pytest.raises(RegisterError, match="duplicate"):
+            make_bell("phi+", ("q1", "q1"))
+        with pytest.raises(RegisterError, match="at least one"):
+            make_bell("phi+", ())
+        with pytest.raises(RegisterError, match="cap"):
+            tensor(widest, basis_state(Register(("x",)), "0"))
