@@ -4,9 +4,10 @@ Result tables go to stdout (or --out) as CSV and are byte-identical for a
 fixed config and seed; progress and timing go to stderr. Exit codes: 0 on
 success, 1 when a verification check fails, 2 for an invalid configuration
 (including a missing config file, an --out path that is a directory, ends in
-a separator, lies in a missing directory or has a .json suffix, a flip
-position outside 1..n and a sampled round that keeps none of its shots), 3
-when the request is outside the protocol's domain (say, a control-mode flip).
+a separator, lies in a missing directory, has a .json suffix or that the
+operating system refuses, a flip position outside 1..n and a sampled round
+that keeps none of its shots), 3 when the request is outside the protocol's
+domain (say, a control-mode flip).
 """
 
 from __future__ import annotations
@@ -63,14 +64,13 @@ def _run(mode: str, run, config_path: str | None, flags: dict) -> None:
     flag_values = {key.replace("_", "-"): val for key, val in flags.items()}
     try:
         cfg = resolve_config(mode, flag_values, config_path)
-        rows = run(cfg)
+        _finish(cfg, run(cfg), started)
     except UnsupportedInputError as exc:
         click.echo(f"unsupported input: {exc}", err=True)
         sys.exit(3)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(2)
-    _finish(cfg, rows, started)
 
 
 def _show_version(ctx: click.Context, _param: click.Parameter, value: bool) -> None:

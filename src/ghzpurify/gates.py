@@ -24,7 +24,6 @@ from .states import Ensemble, PureState, Register, gather_bits, shared_register
 OUTCOME_EPS = 1e-12
 
 _H_AMP = 1 / np.sqrt(2.0)
-_ONE = np.uint64(1)
 
 
 @dataclass(frozen=True)
@@ -141,9 +140,7 @@ def _group_by_bits(
     """(outcome, probability, entry positions) of every joint outcome on
     positions qs that has support, sorted by outcome. Bit i of an outcome,
     from the top, is qubit qs[i]; positions are in index order."""
-    key = np.zeros_like(s.idx)
-    for q in qs:
-        key = (key << _ONE) | ((s.idx >> np.uint64(s.n_qubits - 1 - q)) & _ONE)
+    key = gather_bits(s.idx, s.n_qubits, qs)
     order = np.argsort(key, kind="stable")
     starts = _runs(key[order])
     probs = np.add.reduceat((s.vals.real**2 + s.vals.imag**2)[order], starts)
@@ -213,6 +210,7 @@ def discard(s: PureState, labels: Sequence[str]) -> PureState:
             for lab in labs:  # only to name the offender
                 if OUTCOME_EPS < outcome_probability(s, lab, 1) < 1.0 - OUTCOME_EPS:
                     raise RegisterError(f"qubit {lab!r} is not in a definite basis state")
+            raise RegisterError(f"qubits {labs} are not in a definite basis state")
     sub = s.vals[at]
     idx = gather_bits(s.idx[at], s.n_qubits, s.register.positions(keep))
     return PureState._adopt(shared_register(keep), idx, sub / np.linalg.norm(sub))

@@ -12,22 +12,21 @@ that block for a chunk of shots at once in numpy, reproducing `shot_rng`
 bit for bit, so seed and stream must lie in [0, 2**128). Counter words 0, 2
 and 3 are the same for every shot of a call, so the products of the lanes
 they feed (both in round 1, M1's in round 2, M0's in round 3) are computed
-once per call as Python ints. A branch draw u >= f is decided on the integer
-word, as w >= ceil(f * 2**53) << 11, which no word reaches at f = 1. Exact
-and sampled rows run one loop, where every round starts from protocol's
-canonical pair at its input fidelity: the exact engine runs that pair with
-purify_round, and each shot looks its outcome up in tables that protocol's
-own prepare, compare and lift stages build from it, so both run the same
-circuit. The tables depend only on (n, basis) and are built once each. The
-wall_time_ms column reads 0 for byte-reproducible files; timing goes to stderr.
+once per call as Python ints. A branch draw compares the shot's uniform
+with f: a uniform below f draws the clean state. Exact and sampled rows run
+one loop, where every round starts from protocol's canonical pair at its
+input fidelity: the exact engine runs that pair with purify_round, and each
+shot looks its outcome up in tables that protocol's own prepare, compare and
+lift stages build from it, so both run the same circuit. The tables depend
+only on (n, basis) and are built once each. The wall_time_ms column reads 0
+for byte-reproducible files; timing goes to stderr.
 """
 
 from __future__ import annotations
 
 import functools
 import json
-import math
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import NamedTuple
 
@@ -249,11 +248,7 @@ class ExperimentConfig:
                 raise ConfigError(f"out {out}: its sidecar {sidecar} is a directory")
 
     def as_dict(self) -> dict:
-        d = {}
-        for f in fields(self):
-            v = getattr(self, f.name)
-            d[f.name] = v.value if isinstance(v, ErrorKind) else v
-        return d
+        return asdict(self)
 
 
 def parse_config_file(path: str) -> dict:
@@ -413,19 +408,6 @@ def _uniforms(w: np.ndarray) -> np.ndarray:
     return (w >> _SHIFT11) * 2.0**-53
 
 
-def _uniform_at_least(w: np.ndarray, f: float) -> np.ndarray:
-    """Whether _uniforms(w) >= f, decided on the integer words.
-
-    f * 2**53 is exact, and an integer w >> 11 reaches it exactly when w
-    reaches ceil(f * 2**53) << 11. At f = 1.0 that threshold is 2**64,
-    which no word reaches.
-    """
-    threshold = math.ceil(f * 2.0**53) << 11
-    if threshold > _MASK64:
-        return np.zeros(w.shape, dtype=bool)
-    return w >= np.uint64(threshold)
-
-
 def sample_purify(
     n: int, basis: str, f: float, shots: int, seed: int, stream: int = 0
 ) -> SampleEstimate:
@@ -451,8 +433,8 @@ def sample_purify(
     fid_sum = 0.0
     for first in range(0, shots, _SHOT_CHUNK):
         w0, w1, w2 = _shot_words(seed, stream, first, min(_SHOT_CHUNK, shots - first))
-        branch = 2 * _uniform_at_least(w0, f)
-        branch += _uniform_at_least(w1, f)
+        branch = 2 * (_uniforms(w0) >= f)
+        branch += _uniforms(w1) >= f
         # per shot, min(searchsorted(cdf, u2 * cdf[3], side="right"), 3); the
         # CDF never decreases, so counting entries 0..2 alone gives the cap
         x = _uniforms(w2)

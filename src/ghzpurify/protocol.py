@@ -288,12 +288,13 @@ def purify_round(
 
 
 def correct_physical_bitflip(
-    state: PureState | Ensemble,
+    state: Ensemble,
     suspected_logic_qubit: str = "A",
     path: str = "qnd",
     flip_position: int | None = None,
 ) -> ProtocolOutcome:
-    """Detect and undo a single physical bit flip inside one logic qubit.
+    """Detect and undo a single physical bit flip inside one logic qubit of
+    the pair `state` (a pure pair enters as Ensemble.pure).
 
     The first mode of the suspected logic qubit controls a CNOT onto each of
     its other modes, the non-control modes are measured, and a mode reading 1
@@ -310,8 +311,7 @@ def correct_physical_bitflip(
         raise ValueError(f"path must be 'qnd' or 'destructive', got {path!r}")
     if suspected_logic_qubit not in ("A", "B"):
         raise ValueError("suspected logic qubit must be 'A' or 'B'")
-    e = Ensemble.pure(state) if isinstance(state, PureState) else state
-    a, b = _logic_modes(e)
+    a, b = _logic_modes(state)
     n = len(a)
     modes = a if suspected_logic_qubit == "A" else b
     if flip_position is not None:
@@ -324,7 +324,7 @@ def correct_physical_bitflip(
     control, ancillas = modes[0], modes[1:]
 
     outcomes = measure_ensemble(
-        map_branches(e, lambda s: apply_cnot(s, control, *ancillas)), list(ancillas)
+        map_branches(state, lambda s: apply_cnot(s, control, *ancillas)), list(ancillas)
     )
     corrected: list[tuple[float, PureState]] = []
     for bits, (prob, ens) in outcomes.items():

@@ -154,6 +154,7 @@ def discard(s, labels):
         for lab in labs:  # only to name the offender
             if OUTCOME_EPS < outcome_probability(s, lab, 1) < 1.0 - OUTCOME_EPS:
                 raise RegisterError(f"qubit {lab!r} is not in a definite basis state")
+        raise RegisterError(f"qubits {labs} are not in a definite basis state")
     picked = dict(zip(labs, map(int, bits)))
     sel = tuple(picked.get(lab, slice(None)) for lab in s.register.labels)
     sub = s.amps.reshape((2,) * s.n_qubits)[sel].reshape(-1)

@@ -180,10 +180,11 @@ def test_out_writes_files(runner, tmp_path):
         ("", (), "is a directory"),
         ("x", ("x.json",), "its sidecar"),
         ("new/", (), "does not end in a file name"),
+        ("a" * 300 + ".csv", (), "File name too long"),
     ],
     ids=[
         "json-suffix", "missing-directory", "directory", "sidecar-directory",
-        "trailing-separator",
+        "trailing-separator", "name-too-long",
     ],
 )
 def test_out_that_cannot_be_written_exits_2_before_any_state_is_built(
@@ -200,6 +201,14 @@ def test_out_that_cannot_be_written_exits_2_before_any_state_is_built(
     assert result.stdout == ""
     assert message in result.stderr
     assert list(tmp_path.iterdir()) == made
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_out_that_fails_to_write_exits_2(runner):
+    result = runner.invoke(main, ["purify", "--fidelity", "0.8", "--out", "/dev/full"])
+    # an uncaught OSError would exit 1 with a traceback
+    assert result.exit_code == 2
+    assert "error: [Errno" in result.stderr and "No space left on device" in result.stderr
 
 
 def test_sampled_round_with_no_kept_shot_exits_2(runner, tmp_path):

@@ -480,3 +480,16 @@ def test_discard_keeps_the_definite_block_and_names_the_offender():
     assert np.max(np.abs(kept.amps - core.amps)) <= EXACT_TOL
     with pytest.raises(RegisterError, match="qubit 'q2' is not in a definite"):
         discard(s, ["q1", "q2"])
+
+
+def test_discard_refuses_readings_spread_below_eps_on_each_qubit():
+    # each dropped qubit alone reads 1 with e <= OUTCOME_EPS, yet 2e lies on
+    # readings other than the kept |00>
+    e = 0.9e-12
+    amps = np.zeros(8, dtype=np.complex128)
+    amps[0b000], amps[0b100], amps[0b010] = np.sqrt(1 - 2 * e), np.sqrt(e), np.sqrt(e)
+    s = PureState(Register(("x", "y", "z")), amps)
+    assert e <= OUTCOME_EPS < 2 * e
+    for drop in (discard, dense.discard):
+        with pytest.raises(RegisterError, match=r"qubits \['x', 'y'\] are not"):
+            drop(s, ["x", "y"])
