@@ -5,15 +5,16 @@ fixed config and seed; progress and timing go to stderr. Exit codes: 0 on
 success, 1 when a verification check fails, 2 for an invalid configuration
 (including a missing config file, an --out path that is a directory, ends in
 a separator, lies in a missing directory, has a .json suffix or that the
-operating system refuses, a flip position outside 1..n and a sampled round
-that keeps none of its shots), 3 when the request is outside the protocol's
-domain (say, a control-mode flip).
+operating system refuses, a flip position outside 1..n, more than
+harness.MAX_ROWS rows and a sampled round that keeps none of its shots), 3
+when the request is outside the protocol's domain (say, a control-mode flip).
 """
 
 from __future__ import annotations
 
 import sys
 import time
+from dataclasses import asdict
 from importlib import metadata
 
 import click
@@ -51,7 +52,7 @@ def _options(mode: str):
 
 def _finish(cfg: ExperimentConfig, rows, started: float) -> None:
     if cfg.out:
-        write_results(rows, cfg.out, cfg.as_dict())
+        write_results(rows, cfg.out, asdict(cfg))
         click.echo(f"wrote {len(rows)} rows to {cfg.out}", err=True)
     else:
         click.echo(render_csv(rows), nl=False)

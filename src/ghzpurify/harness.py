@@ -26,14 +26,14 @@ from __future__ import annotations
 
 import functools
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ConfigError
-from .noise import ErrorKind, ErrorModel, apply_error_model
+from .noise import ERROR_ALIASES, ErrorKind, ErrorModel, apply_error_model
 from .protocol import (
     PurifyConfig,
     canonical_pair,
@@ -44,27 +44,6 @@ from .protocol import (
     purify_round,
 )
 from .states import MAX_QUBITS, Ensemble, make_logic_bell, map_branches
-
-CSV_COLUMNS = (
-    "n",
-    "error_kind",
-    "round",
-    "input_fidelity",
-    "output_fidelity",
-    "success_probability",
-    "shots",
-    "seed",
-    "wall_time_ms",
-)
-
-ERROR_ALIASES = {
-    "logic-bit": ErrorKind.LOGIC_BITFLIP,
-    "logic-phase": ErrorKind.LOGIC_PHASEFLIP,
-    "phys-bit": ErrorKind.PHYS_BITFLIP,
-    "phys-phase": ErrorKind.PHYS_PHASEFLIP,
-}
-for _kind in ErrorKind:
-    ERROR_ALIASES[_kind.value] = _kind
 
 # Philox4x64-10 (Salmon et al., SC'11) as numpy's Philox runs it: the seed
 # fills the two key words and the stream two counter words, so both must be
@@ -79,6 +58,8 @@ _PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
 _PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
 _SHOT_CHUNK = 4096
 
+# Rows per run; each costs about 660 B as a ResultRow plus its CSV text.
+MAX_ROWS = 10**6
 _MODES = ("purify", "sweep", "correct")
 _PURIFYING = ("purify", "sweep")
 
@@ -90,35 +71,6 @@ class ConfigKey(NamedTuple):
     modes: tuple[str, ...]
     needed_by: tuple[str, ...]
     help: str
-
-
-# The whole config surface, in CLI option order: parse_config_file,
-# resolve_config, ExperimentConfig.validate and every CLI option read it.
-CONFIG_KEYS = {
-    "error": ConfigKey(
-        str, _PURIFYING, (), "Error kind mixed into the input pair (default logic-bit)."
-    ),
-    "fidelity": ConfigKey(
-        float, ("purify", "correct"), ("purify",),
-        "Input fidelity: the clean pair's weight (correct defaults to 0).",
-    ),
-    "f-min": ConfigKey(float, ("sweep",), ("sweep",), "Grid start fidelity."),
-    "f-max": ConfigKey(float, ("sweep",), ("sweep",), "Grid end fidelity."),
-    "steps": ConfigKey(int, ("sweep",), ("sweep",), "Number of grid points."),
-    "rounds": ConfigKey(int, _PURIFYING, (), "Purification rounds."),
-    "shots": ConfigKey(
-        int, _PURIFYING, (), "Monte Carlo shots per round; 0 (default) runs exactly."
-    ),
-    "flip-position": ConfigKey(
-        int, _MODES, ("correct",),
-        "1-based mode of the physical error (on B; on A for correct).",
-    ),
-    "n": ConfigKey(int, _MODES, (), "Physical qubits per logic qubit (>= 2)."),
-    "seed": ConfigKey(int, _MODES, (), "Sampling seed."),
-    "out": ConfigKey(
-        str, _MODES, (), "Write CSV here (plus a .json config sidecar) instead of stdout."
-    ),
-}
 
 
 def _fmt(x: float) -> str:
@@ -139,19 +91,13 @@ class ResultRow:
     seed: int
 
     def to_csv(self) -> str:
-        return ",".join(
-            (
-                str(self.n),
-                self.error_kind,
-                str(self.round),
-                _fmt(self.input_fidelity),
-                _fmt(self.output_fidelity),
-                _fmt(self.success_probability),
-                str(self.shots),
-                str(self.seed),
-                "0",
-            )
-        )
+        """Each field by its declared type, then the wall_time_ms column's 0."""
+        return ",".join([cell(getattr(self, name)) for name, cell in _CELLS] + ["0"])
+
+
+# (name, formatter) per field; under PEP 563 a field's type is its annotation string
+_CELLS = tuple((f.name, _fmt if f.type == "float" else str) for f in fields(ResultRow))
+CSV_COLUMNS = (*(name for name, _ in _CELLS), "wall_time_ms")
 
 
 def render_csv(rows: list[ResultRow]) -> str:
@@ -170,22 +116,40 @@ def write_results(rows: list[ResultRow], out: str, config: dict) -> None:
     )
 
 
+def _key(default, type: type, modes: tuple[str, ...], help: str, needed_by: tuple[str, ...] = ()):
+    """A config field whose metadata holds its ConfigKey."""
+    return field(default=default, metadata={"key": ConfigKey(type, modes, needed_by, help)})
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Resolved parameters of one harness invocation."""
+    """Resolved parameters of one harness invocation; each field but mode is a config key."""
 
     mode: str
-    n: int = 2
-    error: ErrorKind = ErrorKind.LOGIC_BITFLIP
-    fidelity: float | None = None
-    f_min: float | None = None
-    f_max: float | None = None
-    steps: int | None = None
-    rounds: int = 1
-    shots: int = 0
-    seed: int = 0
-    out: str | None = None
-    flip_position: int | None = None
+    error: ErrorKind = _key(
+        ErrorKind.LOGIC_BITFLIP, str, _PURIFYING,
+        "Error kind mixed into the input pair (default logic-bit).",
+    )
+    fidelity: float | None = _key(
+        None, float, ("purify", "correct"),
+        "Input fidelity: the clean pair's weight (correct defaults to 0).", ("purify",),
+    )
+    f_min: float | None = _key(None, float, ("sweep",), "Grid start fidelity.", ("sweep",))
+    f_max: float | None = _key(None, float, ("sweep",), "Grid end fidelity.", ("sweep",))
+    steps: int | None = _key(None, int, ("sweep",), "Number of grid points.", ("sweep",))
+    rounds: int = _key(1, int, _PURIFYING, "Purification rounds.")
+    shots: int = _key(
+        0, int, _PURIFYING, "Monte Carlo shots per round; 0 (default) runs exactly."
+    )
+    flip_position: int | None = _key(
+        None, int, _MODES,
+        "1-based mode of the physical error (on B; on A for correct).", ("correct",),
+    )
+    n: int = _key(2, int, _MODES, "Physical qubits per logic qubit (>= 2).")
+    seed: int = _key(0, int, _MODES, "Sampling seed.")
+    out: str | None = _key(
+        None, str, _MODES, "Write CSV here (plus a .json config sidecar) instead of stdout."
+    )
 
     def validate(self) -> None:
         if self.mode not in _MODES:
@@ -222,6 +186,11 @@ class ExperimentConfig:
                 )
             if self.steps < 1:
                 raise ConfigError(f"steps must be at least 1, got {self.steps}")
+        steps = self.steps or 1
+        if steps * self.rounds > MAX_ROWS:
+            raise ConfigError(
+                f"steps x rounds = {steps} x {self.rounds} rows; at most {MAX_ROWS} are allowed"
+            )
         if (self.mode == "correct") != (self.error.basis is None):
             raise ConfigError(
                 "correct only handles phys-bit errors" if self.mode == "correct"
@@ -247,8 +216,13 @@ class ExperimentConfig:
             if sidecar.is_dir():
                 raise ConfigError(f"out {out}: its sidecar {sidecar} is a directory")
 
-    def as_dict(self) -> dict:
-        return asdict(self)
+
+# The whole config surface, in ExperimentConfig's field order, which is CLI
+# option order: parse_config_file, resolve_config, ExperimentConfig.validate
+# and every CLI option read it.
+CONFIG_KEYS = {
+    f.name.replace("_", "-"): f.metadata["key"] for f in fields(ExperimentConfig) if f.metadata
+}
 
 
 def parse_config_file(path: str) -> dict:

@@ -47,6 +47,11 @@ class ErrorKind(str, enum.Enum):
         return "phase" if self is ErrorKind.LOGIC_PHASEFLIP else "bit"
 
 
+# CLI names of the error kinds: each value without its "flip", then the values
+ERROR_ALIASES = {k.value.removesuffix("flip"): k for k in ErrorKind}
+ERROR_ALIASES.update((k.value, k) for k in ErrorKind)
+
+
 @dataclass(frozen=True)
 class ErrorModel:
     """One error kind with its no-error probability and placement.

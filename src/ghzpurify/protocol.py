@@ -152,9 +152,8 @@ def postselect_equal(
 
 def one_round_fidelity_map(f: float) -> float:
     """Post-selected fidelity after one round on a fidelity-f pair."""
-    if not 0.0 <= f <= 1.0:
-        raise ValueError(f"fidelity must lie in [0, 1], got {f}")
-    return f**2 / (f**2 + (1.0 - f) ** 2)
+    success = one_round_success_probability(f)
+    return f**2 / success
 
 
 def one_round_success_probability(f: float) -> float:

@@ -7,6 +7,7 @@ of the assertion where given.
 
 import math
 import time
+from dataclasses import asdict
 
 import numpy as np
 
@@ -257,10 +258,10 @@ def test_criterion_8_monte_carlo_consistency(tmp_path):
         out=str(tmp_path / "mc.csv"),
     )
     rows_a = run_purify(cfg)
-    write_results(rows_a, cfg.out, cfg.as_dict())
+    write_results(rows_a, cfg.out, asdict(cfg))
     first = (tmp_path / "mc.csv").read_bytes()
     rows_b = run_purify(cfg)
-    write_results(rows_b, cfg.out, cfg.as_dict())
+    write_results(rows_b, cfg.out, asdict(cfg))
     identical = (tmp_path / "mc.csv").read_bytes() == first
     identical = identical and render_csv(rows_a) == render_csv(rows_b)
     ok = z_p <= 3.0 and z_f <= 3.0 and identical

@@ -336,6 +336,69 @@ def test_command_options_are_config_plus_the_keys_the_mode_reads(command, keys):
     assert params["--config"].default is None
 
 
+def test_csv_columns_and_error_aliases_are_todays_tables():
+    assert CSV_COLUMNS == (
+        "n", "error_kind", "round", "input_fidelity", "output_fidelity",
+        "success_probability", "shots", "seed", "wall_time_ms",
+    )
+    assert list(ERROR_ALIASES) == [
+        "logic-bit", "logic-phase", "phys-bit", "phys-phase",
+        "logic-bitflip", "logic-phaseflip", "phys-bitflip", "phys-phaseflip",
+    ]
+    assert all(ERROR_ALIASES[name] is ErrorKind(name) for name in list(ERROR_ALIASES)[4:])
+
+
+_HELP = {
+    "--error": "Error kind mixed into the input pair (default logic-bit).",
+    "--fidelity": "Input fidelity: the clean pair's weight (correct defaults to 0).",
+    "--f-min": "Grid start fidelity.",
+    "--f-max": "Grid end fidelity.",
+    "--steps": "Number of grid points.",
+    "--rounds": "Purification rounds.",
+    "--shots": "Monte Carlo shots per round; 0 (default) runs exactly.",
+    "--flip-position": "1-based mode of the physical error (on B; on A for correct).",
+    "--n": "Physical qubits per logic qubit (>= 2).",
+    "--seed": "Sampling seed.",
+    "--out": "Write CSV here (plus a .json config sidecar) instead of stdout.",
+    "--config": "Flat key=value config file; explicit flags win.",
+}
+
+
+@pytest.mark.parametrize("command", ["purify", "sweep", "correct"])
+def test_option_help_is_todays_text(command):
+    params = [p for p in main.commands[command].params if p.opts != ["--help"]]
+    assert {p.opts[0]: p.help for p in params} == {
+        p.opts[0]: _HELP[p.opts[0]] for p in params
+    }
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (
+            ["sweep", "--n", "2", "--f-min", "0", "--f-max", "1", "--steps", "10000000000000"],
+            "steps x rounds = 10000000000000 x 1 rows; at most 1000000 are allowed",
+        ),
+        (
+            ["purify", "--fidelity", "0.8", "--rounds", "10000001"],
+            "steps x rounds = 1 x 10000001 rows; at most 1000000 are allowed",
+        ),
+    ],
+    ids=["sweep-steps", "purify-rounds"],
+)
+def test_oversize_row_count_refused_before_any_grid_or_state(runner, monkeypatch, args, message):
+    def fail(*_args, **_kwargs):
+        raise AssertionError("rows were built before the row-count check")
+
+    monkeypatch.setattr(ghzpurify.harness.np, "linspace", fail)
+    monkeypatch.setattr(ghzpurify.harness, "_sweep_rows", fail)
+    _forbid_building_a_state(monkeypatch, "a state was built before the row-count check")
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert f"error: {message}" in result.stderr
+
+
 def test_verify_passes_and_prints_lines(runner):
     result = runner.invoke(main, ["verify", "--n", "2"])
     assert result.exit_code == 0

@@ -6,7 +6,7 @@ import os
 import re
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -61,6 +61,26 @@ def test_float_formatting_is_stable():
     row = ResultRow(2, "logic-bitflip", 1, 1 / 3, 16 / 17, 0.68, 0, 0)
     assert "0.333333333333" in row.to_csv()
     assert "0.941176470588" in row.to_csv()
+
+
+def test_csv_line_formats_floats_and_nothing_else():
+    row = ResultRow(3, "phys-phaseflip", 2, 1, 1 / 3, 16 / 17, 4096, 2**128 - 1)
+    assert row.to_csv() == (
+        "3,phys-phaseflip,2,1,0.333333333333,0.941176470588,4096,"
+        "340282366920938463463374607431768211455,0"
+    )
+
+
+def test_exactly_max_rows_passes_validation():
+    # validated only: running either config would write a million rows
+    _purify_cfg(rounds=10**6).validate()
+    ExperimentConfig(
+        mode="sweep", n=2, f_min=0.0, f_max=1.0, steps=1000, rounds=1000
+    ).validate()
+    with pytest.raises(ConfigError, match="steps x rounds = 1001 x 1000 rows"):
+        ExperimentConfig(
+            mode="sweep", n=2, f_min=0.0, f_max=1.0, steps=1001, rounds=1000
+        ).validate()
 
 
 def test_config_validation_messages():
@@ -249,7 +269,7 @@ def test_run_correct_row():
 def test_write_results_sidecar(tmp_path):
     cfg = _purify_cfg(out=str(tmp_path / "rows.csv"))
     rows = run_purify(cfg)
-    write_results(rows, cfg.out, cfg.as_dict())
+    write_results(rows, cfg.out, asdict(cfg))
     text = (tmp_path / "rows.csv").read_text()
     assert text == render_csv(rows)
     sidecar = json.loads((tmp_path / "rows.json").read_text())
@@ -471,10 +491,10 @@ def test_csv_bytes_identical_across_processes(tmp_path):
         out=str(tmp_path / "a.csv"),
     )
     rows = run_sweep(cfg)
-    write_results(rows, cfg.out, cfg.as_dict())
+    write_results(rows, cfg.out, asdict(cfg))
     first = (tmp_path / "a.csv").read_bytes()
     rows_again = run_sweep(cfg)
-    write_results(rows_again, cfg.out, cfg.as_dict())
+    write_results(rows_again, cfg.out, asdict(cfg))
     assert (tmp_path / "a.csv").read_bytes() == first
     assert b"wall_time_ms" in first
     for line in first.decode().splitlines()[1:]:
