@@ -12,7 +12,6 @@ use discard() to drop qubits that sit in a definite basis state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -24,20 +23,6 @@ from .states import Ensemble, PureState, Register, gather_bits, shared_register
 OUTCOME_EPS = 1e-12
 
 _H_AMP = 1 / np.sqrt(2.0)
-
-
-@dataclass(frozen=True)
-class PauliString:
-    """Tensor product of single-qubit Paulis, keyed by label. Identity implied."""
-
-    ops: Mapping[str, str]
-
-    def __post_init__(self) -> None:
-        ops = dict(self.ops)
-        for lab, p in ops.items():
-            if p not in ("X", "Z"):
-                raise ValueError(f"unknown Pauli {p!r} on {lab!r}")
-        object.__setattr__(self, "ops", ops)
 
 
 def _sorted(register: Register, idx: np.ndarray, vals: np.ndarray) -> PureState:
@@ -81,12 +66,15 @@ def apply_z(s: PureState, label: str) -> PureState:
     return PureState._adopt(s.register, s.idx, signed)
 
 
-def apply_pauli(s: PureState, p: PauliString) -> PureState:
-    """Apply every Z factor as a sign, then every X factor in one XOR."""
-    for lab, name in p.ops.items():
+def apply_pauli(s: PureState, ops: Mapping[str, str]) -> PureState:
+    """Apply the Pauli string {label: "X" or "Z"}, identity elsewhere: every
+    Z factor as a sign, then every X factor in one XOR."""
+    for lab, name in ops.items():
+        if name not in ("X", "Z"):
+            raise ValueError(f"unknown Pauli {name!r} on {lab!r}")
         if name == "Z":
             s = apply_z(s, lab)
-    xs = [lab for lab, name in p.ops.items() if name == "X"]
+    xs = [lab for lab, name in ops.items() if name == "X"]
     return _sorted(s.register, s.idx ^ s.register.mask(xs), s.vals) if xs else s
 
 

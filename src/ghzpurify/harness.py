@@ -77,7 +77,7 @@ def _fmt(x: float) -> str:
     return format(float(x), ".12g")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ResultRow:
     """One sweep point and round, as written to CSV."""
 
@@ -142,8 +142,7 @@ class ExperimentConfig:
         0, int, _PURIFYING, "Monte Carlo shots per round; 0 (default) runs exactly."
     )
     flip_position: int | None = _key(
-        None, int, _MODES,
-        "1-based mode of the physical error (on B; on A for correct).", ("correct",),
+        None, int, ("correct",), "1-based mode of the flipped qubit on A.", ("correct",)
     )
     n: int = _key(2, int, _MODES, "Physical qubits per logic qubit (>= 2).")
     seed: int = _key(0, int, _MODES, "Sampling seed.")
@@ -451,7 +450,7 @@ def _sweep_rows(cfg: ExperimentConfig, grid: list[float]) -> list[ResultRow]:
     Every round starts from the canonical pair at its input fidelity and
     purifies in the configured error's basis in round 1, in the bit basis
     after that. A physical phase flip on any mode of B is the logic bit flip
-    of the canonical pair, so flip_position does not change a row. Grid point
+    of the canonical pair, so no row depends on the flipped mode. Grid point
     i samples round r on stream i*rounds + r.
     """
     rows: list[ResultRow] = []

@@ -20,7 +20,7 @@ import enum
 from dataclasses import dataclass
 
 from .errors import RegisterError
-from .gates import PauliString, apply_pauli
+from .gates import apply_pauli
 from .states import Ensemble, logic_register, map_branches
 
 
@@ -78,17 +78,18 @@ class ErrorModel:
                 raise ValueError(f"position must be non-negative, got {self.position}")
 
 
-def error_operator(model: ErrorModel, n: int) -> PauliString:
-    """Concrete Pauli realization of the model on an n-per-logic-qubit register."""
+def error_operator(model: ErrorModel, n: int) -> dict[str, str]:
+    """Concrete Pauli realization of the model on an n-per-logic-qubit
+    register, as {label: "X" or "Z"}."""
     labels = logic_register(n).labels
     block = labels[:n] if model.target == "A" else labels[n:]
     if model.kind is ErrorKind.LOGIC_PHASEFLIP:
-        return PauliString({lab: "X" for lab in block})
+        return {lab: "X" for lab in block}
     pos = 0 if model.position is None else model.position
     if pos >= n:
         raise RegisterError(f"position {pos} out of range for n={n}")
     pauli = "X" if model.kind is ErrorKind.PHYS_BITFLIP else "Z"
-    return PauliString({block[pos]: pauli})
+    return {block[pos]: pauli}
 
 
 def apply_error_model(e: Ensemble, model: ErrorModel, n: int) -> Ensemble:

@@ -13,10 +13,11 @@ After post-selection c1 and d1 are dropped as well, and each distinct
 surviving 2n-mode state is lifted back to a logic Bell pair by the inverse of
 the reduction. Every state on the way has a handful of nonzero amplitudes,
 and the engine's cost follows them, not 2^(2n); each gate layer is one
-kernel call. These three stages are
-prepare_copy, compare_copies and lift_kept; the Monte Carlo sampler builds
-its outcome tables from the same functions. Each stage reads the logic qubits
-from its input's register: the first n modes are A, the last n are B.
+kernel call. These three stages are prepare_copy, compare_copies and
+lift_kept, and purify_pair runs them on two copies of one pair; the Monte
+Carlo sampler builds its outcome tables from the same functions. Each stage
+reads the logic qubits from its input's register: the first n modes are A,
+the last n are B.
 
 Bit-type errors (psi+ admixtures) purify directly. Phase-type errors (phi-
 admixtures) are first converted to bit type by Hadamards on the kept modes
@@ -49,7 +50,6 @@ from .states import (
     Ensemble,
     PureState,
     fidelity,
-    logic_register,
     make_logic_bell,
     map_branches,
     tensor_ensembles,
@@ -86,7 +86,8 @@ def _require_clear_ancillas(s: PureState) -> None:
     """Reject a reduced state whose non-first modes are not all in |0>.
 
     One norm of the entries where some ancilla reads 1 clears the usual case;
-    only a state that fails it is checked mode by mode, to name the offender.
+    only a state that fails it is checked mode by mode, to name the offender,
+    and ancillas that read 1 only jointly are named together.
     """
     ancillas = [anc for group in _logic_modes(s) for anc in group[1:]]
     stray = s.vals[(s.idx & s.register.mask(ancillas)) != 0]
@@ -94,6 +95,7 @@ def _require_clear_ancillas(s: PureState) -> None:
         for anc in ancillas:
             if outcome_probability(s, anc, 1) > OUTCOME_EPS:
                 raise UnsupportedInputError(f"mode {anc!r} is not in |0>")
+        raise UnsupportedInputError(f"modes {ancillas} are not all in |0>")
 
 
 def recover_logic(e: Ensemble) -> Ensemble:
@@ -204,6 +206,8 @@ SACRIFICED = ("c1", "d1")
 def prepare_copy(s: PureState, basis: str) -> PureState:
     """Reduce one copy, check its ancillas, and turn phase errors into bit
     errors with Hadamards on the two first modes."""
+    if basis not in BASES:
+        raise ValueError(f"basis must be one of {BASES}")
     s = reduce_copy(s)
     _require_clear_ancillas(s)
     if basis == "phase":
@@ -239,24 +243,19 @@ def lift_kept(kept: Ensemble) -> tuple[Ensemble, float]:
     return kept, fidelity(kept, make_logic_bell(n, "phi+"))
 
 
-def _run_single_round(n: int, basis: str, pair: Ensemble) -> ProtocolOutcome:
-    expected = logic_register(n).labels
-    if pair.register.labels != expected:
-        raise RegisterError(
-            f"input pair must live on {expected}, got {pair.register.labels}"
-        )
+def purify_pair(pair: Ensemble, basis: str) -> ProtocolOutcome:
+    """One round on two identical copies of `pair`, whose logic qubits are
+    read from its register. With q the chance that one prepared copy reads
+    equal bits on its two first modes, the copies' outcomes agree with
+    probability q^2 + (1 - q)^2 >= 1/2, so a round always keeps a branch."""
     first = map_branches(pair, lambda s: prepare_copy(s, basis))
     # The second copy is the same ensemble, so its preparation is the first's.
     p, kept = postselect_equal(compare_copies(first, first))
-    if p == 0.0:
-        return ProtocolOutcome(0.0, kept, 0.0)
     kept, fid = lift_kept(kept)
     return ProtocolOutcome(p, kept, fid)
 
 
-def iterate_rounds(
-    cfg: PurifyConfig, input_pair: Ensemble | None = None
-) -> list[ProtocolOutcome]:
+def iterate_rounds(cfg: PurifyConfig) -> list[ProtocolOutcome]:
     """Run the configured number of rounds, one outcome per round.
 
     Surviving pairs are assumed re-prepared i.i.d. between rounds, so each
@@ -269,21 +268,15 @@ def iterate_rounds(
     f = cfg.input_fidelity
     for r in range(cfg.rounds):
         basis = cfg.error_basis if r == 0 else "bit"
-        if r == 0 and input_pair is not None:
-            pair = input_pair
-        else:
-            pair = canonical_pair(cfg.n, basis, f)
-        out = _run_single_round(cfg.n, basis, pair)
+        out = purify_pair(canonical_pair(cfg.n, basis, f), basis)
         results.append(out)
         f = out.fidelity
     return results
 
 
-def purify_round(
-    cfg: PurifyConfig, input_pair: Ensemble | None = None
-) -> ProtocolOutcome:
+def purify_round(cfg: PurifyConfig) -> ProtocolOutcome:
     """Run all configured rounds and return the final round's outcome."""
-    return iterate_rounds(cfg, input_pair)[-1]
+    return iterate_rounds(cfg)[-1]
 
 
 def correct_physical_bitflip(

@@ -39,8 +39,8 @@ def apply_single(s, label, mat):
 def apply_pauli(s, p):
     """Every X and Z factor in one pass: one flip over the X axes, then one
     sign multiply over the Z axes."""
-    xs = s.register.positions([lab for lab, name in p.ops.items() if name == "X"])
-    zs = s.register.positions([lab for lab, name in p.ops.items() if name == "Z"])
+    xs = s.register.positions([lab for lab, name in p.items() if name == "X"])
+    zs = s.register.positions([lab for lab, name in p.items() if name == "Z"])
     if not xs and not zs:
         return s
     n = s.n_qubits

@@ -94,21 +94,31 @@ def test_correct_control_mode_exits_3(runner):
     assert "control mode" in result.stderr
 
 
-@pytest.mark.parametrize("command", ["purify", "sweep"])
 @pytest.mark.parametrize("position", ["0", "-1", "-5", "3"])
-def test_flip_position_outside_the_modes_exits_2(runner, command, position):
-    grid = (
-        ["--fidelity", "0.8"] if command == "purify"
-        else ["--f-min", "0.6", "--f-max", "0.8", "--steps", "2"]
-    )
-    result = runner.invoke(
-        main,
-        [command, "--n", "2", "--error", "logic-phase", "--flip-position", position]
-        + grid,
-    )
+def test_flip_position_outside_the_modes_exits_2(runner, position):
+    result = runner.invoke(main, ["correct", "--n", "2", "--flip-position", position])
     assert result.exit_code == 2
     assert result.stdout == ""
     assert f"flip-position must name a mode 1..2, got {position}" in result.stderr
+
+
+_SWEEP_GRID = ["--f-min", "0.6", "--f-max", "0.8", "--steps", "2"]
+
+
+@pytest.mark.parametrize(
+    "args", [["purify", "--fidelity", "0.8"], ["sweep"] + _SWEEP_GRID], ids=["purify", "sweep"]
+)
+def test_purifying_commands_refuse_a_flip_position(runner, monkeypatch, args):
+    # no purify or sweep row depends on the flipped mode, so neither command
+    # takes the option
+    _forbid_building_a_state(monkeypatch, "a state was built before the refusal")
+    result = runner.invoke(
+        main, args + ["--n", "2", "--error", "phys-phase", "--flip-position", "2"]
+    )
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    # click's wording of the refusal differs between its versions
+    assert "No such option" in result.stderr and "--flip-position" in result.stderr
 
 
 def _forbid_building_a_state(monkeypatch, message):
@@ -282,8 +292,11 @@ def test_config_file_unknown_key_exits_2(runner, tmp_path):
         (["purify", "--fidelity", "0.8"], "steps = 3"),
         (["purify", "--fidelity", "0.8"], "f-min = 0.1"),
         (["correct", "--flip-position", "2"], "shots = 5"),
+        (["purify", "--fidelity", "0.8"], "flip-position = 2"),
+        (["sweep"] + _SWEEP_GRID, "flip-position = 2"),
     ],
-    ids=["purify-steps", "purify-f-min", "correct-shots"],
+    ids=["purify-steps", "purify-f-min", "correct-shots", "purify-flip-position",
+         "sweep-flip-position"],
 )
 def test_config_file_key_the_command_does_not_use_exits_2(
     runner, tmp_path, command, line
@@ -316,12 +329,8 @@ _OPTION_TYPES = {
 @pytest.mark.parametrize(
     "command, keys",
     [
-        ("purify", ["error", "fidelity", "rounds", "shots", "flip-position", "n", "seed", "out"]),
-        (
-            "sweep",
-            ["error", "f-min", "f-max", "steps", "rounds", "shots", "flip-position",
-             "n", "seed", "out"],
-        ),
+        ("purify", ["error", "fidelity", "rounds", "shots", "n", "seed", "out"]),
+        ("sweep", ["error", "f-min", "f-max", "steps", "rounds", "shots", "n", "seed", "out"]),
         ("correct", ["fidelity", "flip-position", "n", "seed", "out"]),
     ],
 )
@@ -356,7 +365,7 @@ _HELP = {
     "--steps": "Number of grid points.",
     "--rounds": "Purification rounds.",
     "--shots": "Monte Carlo shots per round; 0 (default) runs exactly.",
-    "--flip-position": "1-based mode of the physical error (on B; on A for correct).",
+    "--flip-position": "1-based mode of the flipped qubit on A.",
     "--n": "Physical qubits per logic qubit (>= 2).",
     "--seed": "Sampling seed.",
     "--out": "Write CSV here (plus a .json config sidecar) instead of stdout.",

@@ -38,6 +38,7 @@ from ghzpurify.protocol import (
     iterate_rounds,
     one_round_fidelity_map,
     one_round_success_probability,
+    purify_pair,
 )
 from ghzpurify.states import EXACT_TOL, Ensemble, make_logic_bell
 
@@ -69,6 +70,12 @@ def test_csv_line_formats_floats_and_nothing_else():
         "3,phys-phaseflip,2,1,0.333333333333,0.941176470588,4096,"
         "340282366920938463463374607431768211455,0"
     )
+
+
+def test_result_row_has_no_instance_dict():
+    # slots: a row holds its eight fields and nothing per instance besides
+    row = ResultRow(2, "logic-bitflip", 1, 0.8, 16 / 17, 0.68, 0, 0)
+    assert not hasattr(row, "__dict__")
 
 
 def test_exactly_max_rows_passes_validation():
@@ -228,7 +235,11 @@ def test_rows_do_not_depend_on_flip_position(n):
             )
             model = ErrorModel(ErrorKind.PHYS_PHASEFLIP, f, "B", k - 1)
             pair = apply_error_model(Ensemble.pure(make_logic_bell(n, "phi+")), model, n)
-            engine = iterate_rounds(PurifyConfig(n, "bit", f, rounds), input_pair=pair)
+            engine = [purify_pair(pair, "bit")]
+            if rounds > 1:
+                engine += iterate_rounds(
+                    PurifyConfig(n, "bit", engine[0].fidelity, rounds - 1)
+                )
             rows = run_purify(cfg)
             assert [(row.output_fidelity, row.success_probability) for row in rows] == [
                 (out.fidelity, out.success_probability) for out in engine
@@ -505,7 +516,7 @@ def test_csv_bytes_identical_across_processes(tmp_path):
     for shots in ("0", "500"):
         args = [
             sys.executable, "-m", "ghzpurify.cli", "sweep", "--n", "3",
-            "--error", "phys-phase", "--flip-position", "2", "--f-min", "0.6",
+            "--error", "phys-phase", "--f-min", "0.6",
             "--f-max", "0.9", "--steps", "4", "--rounds", "2", "--shots", shots,
             "--seed", "13", "--out", "rows.csv",
         ]

@@ -33,22 +33,22 @@ def test_model_accepts_string_kind():
 def test_operator_logic_bitflip_is_single_z():
     m = ErrorModel(kind=ErrorKind.LOGIC_BITFLIP, fidelity=0.5)
     op = error_operator(m, 3)
-    assert op.ops == {"b1": "Z"}
+    assert op == {"b1": "Z"}
     shifted = ErrorModel(kind=ErrorKind.LOGIC_BITFLIP, fidelity=0.5, position=2)
-    assert error_operator(shifted, 3).ops == {"b3": "Z"}
+    assert error_operator(shifted, 3) == {"b3": "Z"}
 
 
 def test_operator_logic_phaseflip_is_x_on_all_modes():
     m = ErrorModel(kind=ErrorKind.LOGIC_PHASEFLIP, fidelity=0.5, target="A")
     op = error_operator(m, 3)
-    assert op.ops == {"a1": "X", "a2": "X", "a3": "X"}
+    assert op == {"a1": "X", "a2": "X", "a3": "X"}
 
 
 def test_operator_physical_kinds():
     bit = ErrorModel(kind=ErrorKind.PHYS_BITFLIP, fidelity=0.5, target="A", position=1)
-    assert error_operator(bit, 2).ops == {"a2": "X"}
+    assert error_operator(bit, 2) == {"a2": "X"}
     phase = ErrorModel(kind=ErrorKind.PHYS_PHASEFLIP, fidelity=0.5, position=0)
-    assert error_operator(phase, 2).ops == {"b1": "Z"}
+    assert error_operator(phase, 2) == {"b1": "Z"}
 
 
 def test_operator_position_range_checks():

@@ -2,9 +2,11 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ghzpurify.errors import RegisterError, UnsupportedInputError
-from ghzpurify.gates import apply_h, apply_x, discard, outcome_probability
+from ghzpurify.gates import OUTCOME_EPS, apply_h, apply_x, discard, outcome_probability
 from ghzpurify.noise import ErrorKind, ErrorModel, apply_error_model
 from ghzpurify.protocol import (
     BASES,
@@ -20,13 +22,16 @@ from ghzpurify.protocol import (
     one_round_success_probability,
     postselect_equal,
     prepare_copy,
+    purify_pair,
     purify_round,
     recover_logic,
     reduce_copy,
 )
 from ghzpurify.states import (
     BELL_KINDS,
+    EXACT_TOL,
     Ensemble,
+    PureState,
     Register,
     basis_state,
     fidelity,
@@ -79,6 +84,20 @@ def test_recover_rejects_dirty_ancilla():
     reduced = reduce_copy(make_logic_bell(2, "phi+"))
     dirty = apply_x(reduced, "a2")
     with pytest.raises(UnsupportedInputError):
+        recover_logic(Ensemble.pure(dirty))
+
+
+def test_recover_rejects_ancillas_dirty_only_jointly():
+    # reduced phi+ at n = 4 plus 0.9e-12 on each of the six single-ancilla
+    # kets: no ancilla reads 1 above OUTCOME_EPS, all six together do
+    reduced = reduce_copy(make_logic_bell(4, "phi+"))
+    ancillas = ("a2", "a3", "a4", "b2", "b3", "b4")
+    amps = reduced.amps.copy()
+    for anc in ancillas:
+        amps[int(reduced.register.mask([anc]))] = np.sqrt(0.9e-12)
+    dirty = PureState(reduced.register, amps / np.linalg.norm(amps))
+    assert all(outcome_probability(dirty, anc, 1) < OUTCOME_EPS for anc in ancillas)
+    with pytest.raises(UnsupportedInputError, match="are not all in"):
         recover_logic(Ensemble.pure(dirty))
 
 
@@ -347,17 +366,15 @@ def test_phase_round_chained_purifies():
 def test_run_single_round_register_check():
     foreign = with_labels(make_logic_bell(2, "phi+"), ("x1", "x2", "y1", "y2"))
     pair = Ensemble.pure(foreign)
-    cfg = PurifyConfig(n=2, error_basis="bit", input_fidelity=0.8, rounds=1)
     with pytest.raises(RegisterError):
-        purify_round(cfg, input_pair=pair)
+        purify_pair(pair, "bit")
 
 
 @pytest.mark.parametrize("gate", [apply_h, apply_x], ids=["h", "x"])
 def test_round_rejects_dirty_ancilla_input(gate):
     pair = Ensemble.pure(gate(make_logic_bell(3, "phi+"), "a2"))
-    cfg = PurifyConfig(n=3, error_basis="bit", input_fidelity=0.8, rounds=1)
     with pytest.raises(UnsupportedInputError, match="mode 'a2' is not in"):
-        purify_round(cfg, input_pair=pair)
+        purify_pair(pair, "bit")
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -438,8 +455,7 @@ def test_run_routed_purifies_phys_phaseflip():
     model = ErrorModel(
         kind=ErrorKind.PHYS_PHASEFLIP, fidelity=0.8, target="B", position=1
     )
-    cfg = PurifyConfig(n=2, error_basis=model.kind.basis, input_fidelity=model.fidelity)
-    out = purify_round(cfg, input_pair=_routed_pair(model, 2))
+    out = purify_pair(_routed_pair(model, 2), model.kind.basis)
     assert out.fidelity == pytest.approx(16 / 17, abs=1e-12)
     assert out.success_probability == pytest.approx(0.68, abs=1e-12)
 
@@ -457,6 +473,30 @@ def test_run_routed_corrects_phys_bitflip():
     )
     assert out.fidelity == pytest.approx(1.0, abs=1e-12)
     assert out.success_probability == 1.0
+
+
+@pytest.mark.parametrize("basis", ["Phase", "", "bits"])
+def test_prepare_copy_refuses_an_unknown_basis(basis):
+    with pytest.raises(ValueError, match="basis must be one of"):
+        prepare_copy(make_logic_bell(2, "phi+"), basis)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(2, 4),
+    st.sampled_from(BASES),
+    st.lists(st.integers(0, 1000), min_size=4, max_size=4).filter(any),
+)
+def test_purify_pair_keeps_at_least_half_of_any_bell_mixture(n, basis, weights):
+    # two identical copies agree with probability q^2 + (1 - q)^2 >= 1/2,
+    # so a round always keeps some branch
+    total = sum(weights)
+    pair = Ensemble(tuple(
+        (w / total, make_logic_bell(n, kind)) for w, kind in zip(weights, BELL_KINDS) if w
+    ))
+    out = purify_pair(pair, basis)
+    assert out.success_probability >= 0.5 - EXACT_TOL
+    assert 0.0 <= out.fidelity <= 1.0 + EXACT_TOL
 
 
 def test_purify_config_validation():
