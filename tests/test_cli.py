@@ -94,15 +94,23 @@ def test_correct_control_mode_exits_3(runner):
     assert "control mode" in result.stderr
 
 
+_SWEEP_GRID = ["--f-min", "0.6", "--f-max", "0.8", "--steps", "2"]
+
+
+@pytest.mark.parametrize("command", ["purify", "sweep", "correct"])
 @pytest.mark.parametrize("position", ["0", "-1", "-5", "3"])
-def test_flip_position_outside_the_modes_exits_2(runner, position):
-    result = runner.invoke(main, ["correct", "--n", "2", "--flip-position", position])
+def test_flip_position_outside_the_modes_exits_2(runner, command, position):
+    grid = {"purify": ["--fidelity", "0.8"], "sweep": _SWEEP_GRID, "correct": []}[command]
+    result = runner.invoke(
+        main, [command, "--n", "2", "--flip-position", position] + grid
+    )
     assert result.exit_code == 2
     assert result.stdout == ""
-    assert f"flip-position must name a mode 1..2, got {position}" in result.stderr
-
-
-_SWEEP_GRID = ["--f-min", "0.6", "--f-max", "0.8", "--steps", "2"]
+    if command == "correct":
+        assert f"flip-position must name a mode 1..2, got {position}" in result.stderr
+    else:
+        # only correct takes the option; click's wording differs between versions
+        assert "No such option" in result.stderr and "--flip-position" in result.stderr
 
 
 @pytest.mark.parametrize(
