@@ -35,6 +35,7 @@ import numpy as np
 from .errors import ConfigError
 from .noise import ERROR_ALIASES, ErrorKind, ErrorModel, apply_error_model
 from .protocol import (
+    KEPT_OUTCOMES,
     PurifyConfig,
     canonical_pair,
     compare_copies,
@@ -145,7 +146,7 @@ class ExperimentConfig:
         None, int, ("correct",), "1-based mode of the flipped qubit on A.", ("correct",)
     )
     n: int = _key(2, int, _MODES, "Physical qubits per logic qubit (>= 2).")
-    seed: int = _key(0, int, _MODES, "Sampling seed.")
+    seed: int = _key(0, int, _PURIFYING, "Sampling seed.")
     out: str | None = _key(
         None, str, _MODES, "Write CSV here (plus a .json config sidecar) instead of stdout."
     )
@@ -309,9 +310,9 @@ def _shot_tables(
         for second in prepared:
             outcomes = compare_copies(first, second)
             probs, keeps, fids = [], [], []
-            for key in ((0, 0), (0, 1), (1, 0), (1, 1)):
+            for key in np.ndindex(2, 2):
                 prob, kept = outcomes.get(key, (0.0, None))
-                keep = key[0] == key[1]
+                keep = key in KEPT_OUTCOMES
                 probs.append(prob)
                 keeps.append(keep)
                 fids.append(lift_kept(kept)[1] if keep and prob else 0.0)

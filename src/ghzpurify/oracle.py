@@ -202,9 +202,6 @@ def oracle_purify_round(
     s = t[:, 0, :, 0, :, 0, :, 0].reshape(4, 4)
     t *= (s + s[::-1, ::-1]).reshape((2, 1) * 4)
     p_total = float(np.trace(rho).real)
-    if p_total <= _IMPOSSIBLE:
-        return 0.0, 0.0, DensityMatrix(reg_ab, np.zeros(rho.shape))
-
     rho /= p_total
     for axis in (0, 2, 4, 6):
         _h_axis(t, axis)

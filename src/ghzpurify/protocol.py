@@ -57,6 +57,9 @@ from .states import (
 )
 
 BASES = ("bit", "phase")
+SACRIFICED = ("c1", "d1")
+# the sacrificed measurements' (c1, d1) readings that keep a run: they agree
+KEPT_OUTCOMES = ((0, 0), (1, 1))
 
 
 def _logic_modes(pair: PureState | Ensemble) -> tuple[tuple[str, ...], ...]:
@@ -114,41 +117,37 @@ def recover_logic(e: Ensemble) -> Ensemble:
 
 
 def bennett_step(
-    e: Ensemble,
-    kept_pair: tuple[str, str],
-    sacrificed_pair: tuple[str, str],
+    e: Ensemble, kept_pair: tuple[str, str]
 ) -> dict[tuple[int, ...], tuple[float, Ensemble]]:
-    """Bilateral CNOT from the kept Bell pair onto the sacrificed one, then
+    """Bilateral CNOT from the kept Bell pair onto the SACRIFICED one, then
     measurement of the sacrificed modes.
 
     Returns the outcome map of measure_ensemble keyed by (alice, bob) bits.
     """
-    labels = set(kept_pair) | set(sacrificed_pair)
-    if len(labels) != 4:
+    if len(set(kept_pair) | set(SACRIFICED)) != 4:
         raise RegisterError("kept and sacrificed pairs must use four distinct modes")
-    groups = [(control, (target,)) for control, target in zip(kept_pair, sacrificed_pair)]
+    groups = [(control, (target,)) for control, target in zip(kept_pair, SACRIFICED)]
     e = map_branches(e, lambda s: apply_fan_outs(s, *groups))
-    return measure_ensemble(e, list(sacrificed_pair))
+    return measure_ensemble(e, list(SACRIFICED))
 
 
 def postselect_equal(
     outcomes: dict[tuple[int, ...], tuple[float, Ensemble]]
 ) -> tuple[float, Ensemble]:
-    """Keep the equal-outcome events (00 and 11) and renormalize.
+    """Keep the KEPT_OUTCOMES events and renormalize.
 
     The merged sub-normalized ensemble carries the success probability as
     its weight sum; it is renormalized explicitly and the probability
-    returned alongside. Impossible post-selection gives (0.0, empty).
+    returned alongside. Outcomes with no kept event raise ValueError, as
+    an empty Ensemble does.
     """
     sub: list[tuple[float, PureState]] = []
-    for key in ((0, 0), (1, 1)):
+    for key in KEPT_OUTCOMES:
         if key in outcomes:
             prob, ens = outcomes[key]
             sub.extend((prob * w, s) for w, s in ens.branches)
     subnorm = Ensemble(tuple(sub))
     p = subnorm.weight_sum
-    if p <= OUTCOME_EPS:
-        return 0.0, Ensemble(())
     return p, subnorm.scaled(1.0 / p)
 
 
@@ -200,9 +199,6 @@ def canonical_pair(n: int, basis: str, f: float) -> Ensemble:
     return apply_error_model(Ensemble.pure(make_logic_bell(n, "phi+")), ErrorModel(kind, f), n)
 
 
-SACRIFICED = ("c1", "d1")
-
-
 def prepare_copy(s: PureState, basis: str) -> PureState:
     """Reduce one copy, check its ancillas, and turn phase errors into bit
     errors with Hadamards on the two first modes."""
@@ -228,7 +224,7 @@ def compare_copies(
     second = map_branches(
         second, lambda s: with_labels(discard(s, a[1:] + b[1:]), SACRIFICED)
     )
-    return bennett_step(tensor_ensembles(first, second), (a[0], b[0]), SACRIFICED)
+    return bennett_step(tensor_ensembles(first, second), (a[0], b[0]))
 
 
 def lift_kept(kept: Ensemble) -> tuple[Ensemble, float]:

@@ -264,7 +264,7 @@ class Ensemble:
 
     Weights are strictly positive and normally sum to 1. Post-selection
     intermediates are sub-normalized: their weight sum is the probability
-    of reaching them. An empty ensemble marks an impossible outcome.
+    of reaching them. An ensemble holds at least one branch.
     """
 
     branches: tuple[tuple[float, PureState], ...]
@@ -272,13 +272,13 @@ class Ensemble:
     def __post_init__(self) -> None:
         branches = tuple((float(w), s) for w, s in self.branches)
         object.__setattr__(self, "branches", branches)
-        for w, _ in branches:
+        if not branches:
+            raise ValueError("an ensemble needs at least one branch")
+        reg = branches[0][1].register
+        for w, s in branches:
             if not w > 0.0:
                 raise ValueError(f"branch weight must be positive, got {w}")
-        if branches:
-            reg = branches[0][1].register
-            for _, s in branches[1:]:
-                _check_same_register(reg, s.register)
+            _check_same_register(reg, s.register)
         if self.weight_sum > 1.0 + _NORM_TOL:
             raise ValueError(f"weights sum to {self.weight_sum} > 1")
 
@@ -288,8 +288,6 @@ class Ensemble:
 
     @property
     def register(self) -> Register:
-        if not self.branches:
-            raise ValueError("empty ensemble has no register")
         return self.branches[0][1].register
 
     @property
@@ -344,8 +342,6 @@ class DensityMatrix:
 
 def to_density_matrix(e: Ensemble) -> DensityMatrix:
     """Sum of weighted branch projectors; trace equals the weight sum."""
-    if not e.branches:
-        raise ValueError("cannot build a density matrix from an empty ensemble")
     dim = 2**e.register.n_qubits
     mat = np.zeros((dim, dim), dtype=np.complex128)
     for w, s in e.branches:

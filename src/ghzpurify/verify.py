@@ -186,15 +186,16 @@ def check_purify_map_grid(ns: tuple[int, ...]) -> CheckResult:
 
 
 def check_improvement_region(ns: tuple[int, ...]) -> CheckResult:
-    """One round strictly improves fidelity exactly when f > 1/2."""
+    """One engine round, at the smallest n in ns and in both bases, strictly
+    improves fidelity exactly when f > 1/2 and leaves f = 1/2 in place; a
+    wrong direction counts as a deviation above 1."""
     dev = 0.0
-    for f in np.linspace(0.02, 0.98, 49):
-        fp = one_round_fidelity_map(float(f))
-        if f > 0.5 and not fp > f:
-            dev = max(dev, f - fp + 1.0)
-        if f < 0.5 and not fp < f:
-            dev = max(dev, fp - f + 1.0)
-    dev = max(dev, abs(one_round_fidelity_map(0.5) - 0.5))
+    for basis, f in itertools.product(BASES, [*np.linspace(0.02, 0.98, 49).tolist(), 0.5]):
+        fp = purify_round(PurifyConfig(n=min(ns), error_basis=basis, input_fidelity=f)).fidelity
+        if f == 0.5:
+            dev = max(dev, abs(fp - f))
+        elif np.sign(fp - f) != np.sign(f - 0.5):
+            dev = max(dev, abs(fp - f) + 1.0)
     return _result("improvement_strictly_above_half", dev, EXACT_TOL)
 
 

@@ -113,6 +113,15 @@ def test_flip_position_outside_the_modes_exits_2(runner, command, position):
         assert "No such option" in result.stderr and "--flip-position" in result.stderr
 
 
+def test_correct_refuses_a_seed(runner, monkeypatch):
+    # correct is deterministic, so no row of it reads a sampling seed
+    _forbid_building_a_state(monkeypatch, "a state was built before the refusal")
+    result = runner.invoke(main, ["correct", "--n", "3", "--flip-position", "2", "--seed", "5"])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert "No such option" in result.stderr and "--seed" in result.stderr
+
+
 @pytest.mark.parametrize(
     "args", [["purify", "--fidelity", "0.8"], ["sweep"] + _SWEEP_GRID], ids=["purify", "sweep"]
 )
@@ -302,9 +311,10 @@ def test_config_file_unknown_key_exits_2(runner, tmp_path):
         (["correct", "--flip-position", "2"], "shots = 5"),
         (["purify", "--fidelity", "0.8"], "flip-position = 2"),
         (["sweep"] + _SWEEP_GRID, "flip-position = 2"),
+        (["correct", "--flip-position", "2"], "seed = 5"),
     ],
     ids=["purify-steps", "purify-f-min", "correct-shots", "purify-flip-position",
-         "sweep-flip-position"],
+         "sweep-flip-position", "correct-seed"],
 )
 def test_config_file_key_the_command_does_not_use_exits_2(
     runner, tmp_path, command, line
@@ -339,7 +349,7 @@ _OPTION_TYPES = {
     [
         ("purify", ["error", "fidelity", "rounds", "shots", "n", "seed", "out"]),
         ("sweep", ["error", "f-min", "f-max", "steps", "rounds", "shots", "n", "seed", "out"]),
-        ("correct", ["fidelity", "flip-position", "n", "seed", "out"]),
+        ("correct", ["fidelity", "flip-position", "n", "out"]),
     ],
 )
 def test_command_options_are_config_plus_the_keys_the_mode_reads(command, keys):

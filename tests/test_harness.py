@@ -39,6 +39,7 @@ from ghzpurify.protocol import (
     one_round_fidelity_map,
     one_round_success_probability,
     purify_pair,
+    purify_round,
 )
 from ghzpurify.states import EXACT_TOL, Ensemble, make_logic_bell
 
@@ -440,6 +441,26 @@ def test_shot_tables_and_sampler_at_block_size(n, basis):
     fid = one_round_fidelity_map(f)
     kept = round(est.success_probability * shots)
     assert abs(est.fidelity - fid) < 5 * math.sqrt(fid * (1 - fid) / kept)
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+@pytest.mark.parametrize("basis", ["bit", "phase"])
+def test_shot_tables_agree_with_the_engine_round(n, basis):
+    # branch pair b = 2*s1 + s2 has weight W_b = w_s1 * w_s2, with w_0 = f and
+    # w_1 = 1 - f; its kept outcomes must add up to the engine's round
+    tables = _shot_tables(n, basis)
+    for f in np.linspace(0.0, 1.0, 21).tolist():
+        weights = (f, 1.0 - f)
+        p = fid = 0.0
+        for index, (cdf, keeps, fids) in enumerate(tables):
+            w = weights[index // 2] * weights[index % 2]
+            for prob, keep, kept_fid in zip(np.diff(cdf, prepend=0.0), keeps, fids):
+                if keep:
+                    p += w * prob
+                    fid += w * prob * kept_fid
+        out = purify_round(PurifyConfig(n, basis, f))
+        assert abs(p - out.success_probability) < EXACT_TOL, f
+        assert abs(fid / p - out.fidelity) < EXACT_TOL, f
 
 
 def test_sample_purify_pure_limits():

@@ -145,7 +145,7 @@ def test_bennett_outcome_statistics(case):
     system = Ensemble.pure(
         tensor(make_bell(k1, ("a1", "b1")), make_bell(k2, ("c1", "d1")))
     )
-    outcomes = bennett_step(system, ("a1", "b1"), ("c1", "d1"))
+    outcomes = bennett_step(system, ("a1", "b1"))
     # the sacrificed pair ends up phi+ or psi+: equal outcomes for phi+,
     # unequal for psi+, each side 1/2
     expect_equal = w2 == "phi+"
@@ -171,14 +171,14 @@ def test_bennett_rejects_shared_labels():
         tensor(make_bell("phi+", ("a1", "b1")), make_bell("phi+", ("c1", "d1")))
     )
     with pytest.raises(RegisterError):
-        bennett_step(system, ("a1", "b1"), ("a1", "d1"))
+        bennett_step(system, ("a1", "c1"))
 
 
 def test_postselect_equal_merges_and_renormalizes():
     system = Ensemble.pure(
         tensor(make_bell("phi+", ("a1", "b1")), make_bell("phi+", ("c1", "d1")))
     )
-    outcomes = bennett_step(system, ("a1", "b1"), ("c1", "d1"))
+    outcomes = bennett_step(system, ("a1", "b1"))
     p, kept = postselect_equal(outcomes)
     assert p == pytest.approx(1.0)
     assert kept.weight_sum == pytest.approx(1.0)
@@ -188,11 +188,11 @@ def test_postselect_equal_impossible():
     system = Ensemble.pure(
         tensor(make_bell("psi+", ("a1", "b1")), make_bell("phi+", ("c1", "d1")))
     )
-    # kept pair psi+, sacrificed psi+: outcomes always differ
-    outcomes = bennett_step(system, ("a1", "b1"), ("c1", "d1"))
-    p, kept = postselect_equal(outcomes)
-    assert p == 0.0
-    assert kept.branches == ()
+    # kept pair psi+, sacrificed psi+: outcomes always differ, and a round
+    # that keeps nothing raises, as an empty Ensemble does
+    outcomes = bennett_step(system, ("a1", "b1"))
+    with pytest.raises(ValueError, match="at least one branch"):
+        postselect_equal(outcomes)
 
 
 def test_fidelity_map_formulas():

@@ -190,6 +190,12 @@ def test_ensemble_weights():
         Ensemble(((0.8, s), (0.8, s)))
 
 
+def test_ensemble_needs_a_branch():
+    # a round that keeps nothing has no state to carry on, so it raises
+    with pytest.raises(ValueError, match="at least one branch"):
+        Ensemble(())
+
+
 def test_ensemble_scaled_and_map():
     e = Ensemble.pure(make_bell("phi+"))
     half = e.scaled(0.5)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 import ghzpurify.verify
@@ -6,6 +8,7 @@ from ghzpurify.states import to_density_matrix
 from ghzpurify.verify import (
     CHECK_FUNCS,
     CheckResult,
+    check_improvement_region,
     check_oracle_round_agreement,
     check_purify_map_grid,
     run_verify,
@@ -61,6 +64,16 @@ def test_purify_map_check_covers_every_n_whose_round_fits(monkeypatch):
     monkeypatch.setattr(ghzpurify.verify, "purify_round", recorded_round)
     assert check_purify_map_grid(tuple(range(2, 13))).passed
     assert sorted(set(asked)) == list(range(2, 12))
+
+
+def test_improvement_check_runs_the_engine(monkeypatch):
+    # an engine round that leaves every fidelity where it was must fail it
+    def idle_round(cfg):
+        return replace(purify_round(cfg), fidelity=cfg.input_fidelity)
+
+    monkeypatch.setattr(ghzpurify.verify, "purify_round", idle_round)
+    result = check_improvement_region((2, 3))
+    assert not result.passed and result.max_deviation >= 1.0
 
 
 def test_run_verify_rejects_small_n():
