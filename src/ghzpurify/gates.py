@@ -156,7 +156,8 @@ def measure_ensemble(
     collected: dict[tuple[int, ...], list[tuple[float, PureState]]] = {}
     for w, s in e.branches:
         for outcome, p, at in _group_by_bits(s, qs):
-            if p <= OUTCOME_EPS:
+            # a joint weight that underflows to 0 carries no probability
+            if p <= OUTCOME_EPS or w * p == 0.0:
                 continue
             post = PureState._adopt(s.register, s.idx[at], s.vals[at] / np.sqrt(p))
             bits = tuple((outcome >> (len(qs) - 1 - i)) & 1 for i in range(len(qs)))

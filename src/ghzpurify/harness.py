@@ -15,7 +15,7 @@ they feed (both in round 1, M1's in round 2, M0's in round 3) are computed
 once per call as Python ints. A branch draw compares the shot's uniform
 with f: a uniform below f draws the clean state. Exact and sampled rows run
 one loop, where every round starts from protocol's canonical pair at its
-input fidelity: the exact engine runs that pair with purify_round, and each
+input fidelity: the exact engine runs that pair with purify_pair, and each
 shot looks its outcome up in tables that protocol's own prepare, compare and
 lift stages build from it, so both run the same circuit. The tables depend
 only on (n, basis) and are built once each. The wall_time_ms column reads 0
@@ -36,13 +36,13 @@ from .errors import ConfigError
 from .noise import ERROR_ALIASES, ErrorKind, ErrorModel, apply_error_model
 from .protocol import (
     KEPT_OUTCOMES,
-    PurifyConfig,
     canonical_pair,
     compare_copies,
     correct_physical_bitflip,
     lift_kept,
     prepare_copy,
-    purify_round,
+    purify_pair,
+    round_bases,
 )
 from .states import MAX_QUBITS, Ensemble, make_logic_bell, map_branches
 
@@ -58,6 +58,9 @@ _PHILOX_ROUNDS = 10
 _PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
 _PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
 _SHOT_CHUNK = 4096
+# whether cell 4*b + o of the shot tables keeps its shot, whatever branch pair b
+_KEEP = np.tile([key in KEPT_OUTCOMES for key in np.ndindex(2, 2)], 4)
+_KEEP.flags.writeable = False
 
 # Rows per run; each costs about 660 B as a ResultRow plus its CSV text.
 MAX_ROWS = 10**6
@@ -290,36 +293,30 @@ class SampleEstimate:
 
 
 @functools.cache
-def _shot_tables(
-    n: int, basis: str
-) -> tuple[tuple[np.ndarray, tuple[bool, ...], tuple[float, ...]], ...]:
-    """Per branch combination: outcome CDF, keep flags, kept-state fidelity.
+def _shot_tables(n: int, basis: str) -> tuple[np.ndarray, np.ndarray]:
+    """Outcome CDF and kept-state fidelity, as two read-only 4 x 4 arrays.
 
-    Branch combinations are indexed 2*s1 + s2 with s = 0 for the clean state
-    and 1 for the errored one. Outcomes are indexed 2*o1 + o2. Each entry is
-    one run of protocol's compare and lift stages on the two prepared copies.
-    The tables are cached per (n, basis), so they are immutable: tuples and
-    read-only CDF arrays.
+    Row b = 2*s1 + s2 is the branch pair, with s = 0 for the clean state and
+    1 for the errored one; column o = 2*o1 + o2 is the sacrificed outcome,
+    and _KEEP[4*b + o] says whether it keeps the shot. Each row is one run of
+    protocol's compare and lift stages on the two prepared copies; a cell
+    that is not kept has fidelity 0. Both are cached per (n, basis).
     """
     prepared = [
         map_branches(canonical_pair(n, basis, f), lambda s: prepare_copy(s, basis))
         for f in (1.0, 0.0)
     ]
-    tables = []
-    for first in prepared:
-        for second in prepared:
-            outcomes = compare_copies(first, second)
-            probs, keeps, fids = [], [], []
-            for key in np.ndindex(2, 2):
-                prob, kept = outcomes.get(key, (0.0, None))
-                keep = key in KEPT_OUTCOMES
-                probs.append(prob)
-                keeps.append(keep)
-                fids.append(lift_kept(kept)[1] if keep and prob else 0.0)
-            cdf = np.cumsum(probs)
-            cdf.flags.writeable = False
-            tables.append((cdf, tuple(keeps), tuple(fids)))
-    return tuple(tables)
+    probs, fid = np.zeros((4, 4)), np.zeros((4, 4))
+    for b in range(4):
+        outcomes = compare_copies(prepared[b // 2], prepared[b % 2])
+        for o, key in enumerate(np.ndindex(2, 2)):
+            if key in outcomes:
+                probs[b, o], kept = outcomes[key]
+                if _KEEP[o]:
+                    fid[b, o] = lift_kept(kept)[1]
+    cdf = np.cumsum(probs, axis=1)
+    cdf.flags.writeable = fid.flags.writeable = False
+    return cdf, fid
 
 
 def _mulhilo(a: int, b: int | np.ndarray):
@@ -398,11 +395,9 @@ def sample_purify(
     for name, value in (("seed", seed), ("stream", stream)):
         if not 0 <= value < _KEY_LIMIT:
             raise ValueError(f"{name} must lie in [0, 2**128), got {value}")
-    tables = _shot_tables(n, basis)
+    cdf, fid = _shot_tables(n, basis)
     # cdf_at[j][b] is branch b's CDF at outcome j; cell 4*b + o indexes the rest
-    cdf_at = np.array([cdf for cdf, _, _ in tables]).T
-    keeps = np.array([keep for _, keep, _ in tables]).ravel()
-    fids = np.array([fid for _, _, fid in tables]).ravel()
+    cdf_at, fids = cdf.T, fid.ravel()
     kept = 0
     fid_sum = 0.0
     for first in range(0, shots, _SHOT_CHUNK):
@@ -416,7 +411,7 @@ def sample_purify(
         cell = 4 * branch
         for column in cdf_at[:3]:
             cell += column.take(branch) <= x
-        keep = keeps.take(cell)
+        keep = _KEEP.take(cell)
         kept += int(np.count_nonzero(keep))
         # a left-to-right running sum in shot order; np.sum adds pairwise,
         # which can change the last bit and tie it to the chunk size
@@ -449,17 +444,15 @@ def _sweep_rows(cfg: ExperimentConfig, grid: list[float]) -> list[ResultRow]:
     """Rows of every round at every grid point; exact when shots is 0.
 
     Every round starts from the canonical pair at its input fidelity and
-    purifies in the configured error's basis in round 1, in the bit basis
-    after that. A physical phase flip on any mode of B is the logic bit flip
-    of the canonical pair, so no row depends on the flipped mode. Grid point
-    i samples round r on stream i*rounds + r.
+    purifies in the basis round_bases gives it. A physical phase flip on any
+    mode of B is the logic bit flip of the canonical pair, so no row depends
+    on the flipped mode. Grid point i samples round r on stream i*rounds + r.
     """
     rows: list[ResultRow] = []
     for i, f in enumerate(grid):
-        for r in range(cfg.rounds):
-            basis = cfg.error.basis if r == 0 else "bit"
+        for r, basis in enumerate(round_bases(cfg.error.basis, cfg.rounds)):
             if cfg.shots == 0:
-                out = purify_round(PurifyConfig(cfg.n, basis, f))
+                out = purify_pair(canonical_pair(cfg.n, basis, f), basis)
             else:
                 out = sample_purify(cfg.n, basis, f, cfg.shots, cfg.seed, i * cfg.rounds + r)
             rows.append(_row(cfg, r + 1, f, out.fidelity, out.success_probability, cfg.shots))

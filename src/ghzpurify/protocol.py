@@ -251,19 +251,22 @@ def purify_pair(pair: Ensemble, basis: str) -> ProtocolOutcome:
     return ProtocolOutcome(p, kept, fid)
 
 
+def round_bases(basis: str, rounds: int) -> list[str]:
+    """Each round's basis: `basis` in round 1, then bit, because a phase round's
+    conversion Hadamards turn phi- into psi+, a bit-type residual."""
+    return [basis][:rounds] + ["bit"] * (rounds - 1)
+
+
 def iterate_rounds(cfg: PurifyConfig) -> list[ProtocolOutcome]:
     """Run the configured number of rounds, one outcome per round.
 
     Surviving pairs are assumed re-prepared i.i.d. between rounds, so each
     round starts from the canonical two-branch mixture at the previous
-    round's output fidelity. A phase-basis round leaves a bit-type residual
-    (the conversion Hadamards turn phi- into psi+), so later rounds always
-    purify in the bit basis.
+    round's output fidelity, in the basis round_bases gives it.
     """
     results: list[ProtocolOutcome] = []
     f = cfg.input_fidelity
-    for r in range(cfg.rounds):
-        basis = cfg.error_basis if r == 0 else "bit"
+    for basis in round_bases(cfg.error_basis, cfg.rounds):
         out = purify_pair(canonical_pair(cfg.n, basis, f), basis)
         results.append(out)
         f = out.fidelity

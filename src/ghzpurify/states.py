@@ -262,7 +262,8 @@ def gather_bits(idx: np.ndarray, n: int, src: Sequence[int]) -> np.ndarray:
 class Ensemble:
     """Weighted mixture of pure branches on a common register.
 
-    Weights are strictly positive and normally sum to 1. Post-selection
+    Weights normally sum to 1. A weight that underflowed to exactly 0 leaves
+    its branch out; every other weight must be positive. Post-selection
     intermediates are sub-normalized: their weight sum is the probability
     of reaching them. An ensemble holds at least one branch.
     """
@@ -270,7 +271,7 @@ class Ensemble:
     branches: tuple[tuple[float, PureState], ...]
 
     def __post_init__(self) -> None:
-        branches = tuple((float(w), s) for w, s in self.branches)
+        branches = tuple((float(w), s) for w, s in self.branches if w != 0.0)
         object.__setattr__(self, "branches", branches)
         if not branches:
             raise ValueError("an ensemble needs at least one branch")

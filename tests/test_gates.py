@@ -183,6 +183,15 @@ def test_measure_ensemble_probabilities():
         assert ens.weight_sum == pytest.approx(1.0)
 
 
+def test_measure_ensemble_skips_outcomes_whose_weight_underflows():
+    # 5e-324 * 1/2 rounds to 0, so the |1+> branch's outcomes carry nothing
+    tiny = apply_h(basis_state(Register(("q1", "q2")), "10"), "q2")
+    e = Ensemble(((1.0, basis_state(Register(("q1", "q2")), "00")), (5e-324, tiny)))
+    outcomes = measure_ensemble(e, ["q1", "q2"])
+    assert list(outcomes) == [(0, 0)]
+    assert outcomes[(0, 0)][0] == 1.0
+
+
 def test_measure_ensemble_outcome_keys_sorted():
     e = Ensemble.pure(make_bell("phi+"))
     keys = list(measure_ensemble(e, ["q1"]))

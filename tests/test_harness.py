@@ -17,6 +17,7 @@ from ghzpurify.harness import (
     CSV_COLUMNS,
     ExperimentConfig,
     ResultRow,
+    _KEEP,
     _SHOT_CHUNK,
     _shot_tables,
     _shot_words,
@@ -34,6 +35,7 @@ from ghzpurify.harness import (
 import ghzpurify
 from ghzpurify.noise import ErrorKind, ErrorModel, apply_error_model
 from ghzpurify.protocol import (
+    KEPT_OUTCOMES,
     PurifyConfig,
     iterate_rounds,
     one_round_fidelity_map,
@@ -208,6 +210,21 @@ def test_run_purify_exact_row():
     assert row.shots == 0
 
 
+@pytest.mark.parametrize("n", [2, 5])
+@pytest.mark.parametrize("error", [ErrorKind.LOGIC_BITFLIP, ErrorKind.LOGIC_PHASEFLIP])
+def test_exact_rows_at_underflowing_fidelities(n, error):
+    # from F = 2**-537 down, F * F or a branch's joint measurement weight
+    # underflows to 0; such a branch carries no probability and is left out
+    for k in range(530, 1075):
+        rows = run_purify(_purify_cfg(n=n, error=error, fidelity=2.0**-k, rounds=2))
+        for row in rows:
+            f = row.input_fidelity
+            assert math.isfinite(row.output_fidelity), k
+            p = one_round_success_probability(f)
+            assert abs(row.success_probability - p) < EXACT_TOL, k
+            assert abs(row.output_fidelity - one_round_fidelity_map(f)) < EXACT_TOL, k
+
+
 def test_run_purify_multi_round_chains_fidelity():
     cfg = _purify_cfg(rounds=2)
     rows = run_purify(cfg)
@@ -360,26 +377,32 @@ def test_integer_branch_threshold_agrees_with_the_uniform_on_ties(f):
 def test_shot_tables_are_cached_and_read_only():
     tables = _shot_tables(2, "bit")
     assert _shot_tables(2, "bit") is tables
-    cdf, keeps, fids = tables[0]
-    assert isinstance(tables, tuple)
-    assert isinstance(keeps, tuple) and isinstance(fids, tuple)
-    with pytest.raises(ValueError, match="read-only"):
-        cdf[0] = 0.5
+    for table in (*tables, _KEEP):
+        assert isinstance(table, np.ndarray)
+        with pytest.raises(ValueError, match="read-only"):
+            table[0] = 0.5
+    assert [table.shape for table in tables] == [(4, 4), (4, 4)]
+
+
+def test_keep_flags_are_the_kept_outcomes_for_every_branch_pair():
+    flags = [key in KEPT_OUTCOMES for key in np.ndindex(2, 2)]
+    for b in range(4):
+        assert _KEEP[4 * b : 4 * b + 4].tolist() == flags
 
 
 def _reference_sample(n, basis, f, shots, seed, stream):
     """The per-shot loop the vectorized sampler must reproduce exactly."""
-    tables = _shot_tables(n, basis)
+    cdfs, fids = _shot_tables(n, basis)
     kept, fid_sum = 0, 0.0
     for i in range(shots):
         u = shot_rng(seed, stream, i).random(3)
         s1 = 0 if u[0] < f else 1
         s2 = 0 if u[1] < f else 1
-        cdf, keeps, fids = tables[2 * s1 + s2]
+        cdf = cdfs[2 * s1 + s2]
         outcome = min(int(np.searchsorted(cdf, u[2] * cdf[-1], side="right")), 3)
-        if keeps[outcome]:
+        if divmod(outcome, 2) in KEPT_OUTCOMES:
             kept += 1
-            fid_sum += fids[outcome]
+            fid_sum += float(fids[2 * s1 + s2, outcome])
     return kept / shots, fid_sum / kept
 
 
@@ -425,8 +448,10 @@ def test_sample_purify_tracks_exact_values(basis):
 @pytest.mark.parametrize("basis", ["bit", "phase"])
 def test_shot_tables_and_sampler_at_block_size(n, basis):
     # branch pairs are indexed 2*s1 + s2, s = 0 clean and 1 errored
-    for index, (cdf, keeps, fids) in enumerate(_shot_tables(n, basis)):
+    cdfs, fid_rows = _shot_tables(n, basis)
+    for index, (cdf, fids) in enumerate(zip(cdfs, fid_rows)):
         probs = np.diff(cdf, prepend=0.0)
+        keeps = _KEEP[4 * index : 4 * index + 4]
         kept = sum(p for p, keep in zip(probs, keeps) if keep)
         s1, s2 = divmod(index, 2)
         assert abs(kept - (1.0 if s1 == s2 else 0.0)) < EXACT_TOL
@@ -448,19 +473,16 @@ def test_shot_tables_and_sampler_at_block_size(n, basis):
 def test_shot_tables_agree_with_the_engine_round(n, basis):
     # branch pair b = 2*s1 + s2 has weight W_b = w_s1 * w_s2, with w_0 = f and
     # w_1 = 1 - f; its kept outcomes must add up to the engine's round
-    tables = _shot_tables(n, basis)
+    cdf, fid = _shot_tables(n, basis)
+    kept = np.diff(cdf, axis=1, prepend=0.0).ravel() * _KEEP
     for f in np.linspace(0.0, 1.0, 21).tolist():
-        weights = (f, 1.0 - f)
-        p = fid = 0.0
-        for index, (cdf, keeps, fids) in enumerate(tables):
-            w = weights[index // 2] * weights[index % 2]
-            for prob, keep, kept_fid in zip(np.diff(cdf, prepend=0.0), keeps, fids):
-                if keep:
-                    p += w * prob
-                    fid += w * prob * kept_fid
+        w = np.array([f, 1.0 - f])
+        weighted = np.repeat(np.outer(w, w).ravel(), 4) * kept
+        p = float(weighted.sum())
+        fid_p = float(weighted @ fid.ravel())
         out = purify_round(PurifyConfig(n, basis, f))
         assert abs(p - out.success_probability) < EXACT_TOL, f
-        assert abs(fid / p - out.fidelity) < EXACT_TOL, f
+        assert abs(fid_p / p - out.fidelity) < EXACT_TOL, f
 
 
 def test_sample_purify_pure_limits():

@@ -252,8 +252,6 @@ def _oracle_round_kron(n, basis, f):
     t4 = t.reshape(dim, 4, dim, 4)
     kept = t4[:, 0, :, 0] + t4[:, 3, :, 3]
     p_total = float(np.trace(kept).real)
-    if p_total <= oracle._IMPOSSIBLE:
-        return 0.0, 0.0, np.zeros(rho.shape)
     kept /= p_total
     oracle._apply_ops(kept.reshape((2,) * (4 * n)), 2 * n, heads + fan_out, reg_ab)
     target = make_logic_bell(n, "phi+").amps

@@ -26,6 +26,7 @@ from ghzpurify.protocol import (
     purify_round,
     recover_logic,
     reduce_copy,
+    round_bases,
 )
 from ghzpurify.states import (
     BELL_KINDS,
@@ -355,6 +356,13 @@ def test_phase_round_residual_is_bit_type():
     assert fidelity(out.output, make_logic_bell(2, "phi-")) == pytest.approx(
         0.0, abs=1e-12
     )
+
+
+def test_round_bases_switch_to_bit_after_round_one():
+    assert round_bases("phase", 3) == ["phase", "bit", "bit"]
+    assert round_bases("bit", 2) == ["bit", "bit"]
+    assert round_bases("phase", 1) == ["phase"]
+    assert round_bases("phase", 0) == []
 
 
 def test_phase_round_chained_purifies():

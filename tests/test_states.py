@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -188,6 +190,16 @@ def test_ensemble_weights():
         Ensemble(((0.0, s),))
     with pytest.raises(ValueError):
         Ensemble(((0.8, s), (0.8, s)))
+
+
+def test_ensemble_leaves_out_zero_weights():
+    # a weight that underflowed to 0 carries no probability
+    s, t = make_bell("phi+"), make_bell("psi+")
+    e = Ensemble(((0.0, s), (1.0, t)))
+    assert e.branches == ((1.0, t),)
+    for bad in (-0.25, math.nan):
+        with pytest.raises(ValueError, match="must be positive"):
+            Ensemble(((bad, s), (0.75, t)))
 
 
 def test_ensemble_needs_a_branch():
