@@ -1,25 +1,22 @@
 """Experiment harness: configs, parameter sweeps, sampling, CSV output.
 
 Output rows are fully deterministic for a fixed config and seed. Monte Carlo
-randomness is counter-based: shot i of stream s draws from a Philox4x64-10
-generator keyed by the seed with counter (s << 128) + (i << 64), so every
-shot's randomness is a pure function of (seed, stream, shot) regardless of
-execution order. numpy's Philox bumps the counter before its first block, so
-a shot's three uniforms come from the one block with counter words
-(1, i, s mod 2**64, s >> 64) and key words (seed mod 2**64, seed >> 64); the
-uniform from output word w is (w >> 11) * 2**-53. `sample_purify` evaluates
-that block for a chunk of shots at once in numpy, reproducing `shot_rng`
-bit for bit, so seed and stream must lie in [0, 2**128). Counter words 0, 2
-and 3 are the same for every shot of a call, so the products of the lanes
-they feed (both in round 1, M1's in round 2, M0's in round 3) are computed
-once per call as Python ints. A branch draw compares the shot's uniform
-with f: a uniform below f draws the clean state. Exact and sampled rows run
-one loop, where every round starts from protocol's canonical pair at its
-input fidelity: the exact engine runs that pair with purify_pair, and each
-shot looks its outcome up in tables that protocol's own prepare, compare and
-lift stages build from it, so both run the same circuit. The tables depend
-only on (n, basis) and are built once each. The wall_time_ms column reads 0
-for byte-reproducible files; timing goes to stderr.
+randomness is counter-based: shot i of stream s reads block (s << 128) + i + 1
+of the Philox4x64-10 generator keyed by the seed, so every shot's randomness
+is a pure function of (seed, stream, shot) regardless of execution order.
+`sample_purify` reads a call's blocks in shot order from one numpy Philox at
+counter s << 128, which bumps its counter before each block, so seed and
+stream must lie in [0, 2**128). A shot's three uniforms come from words 0-2
+of its block, each (w >> 11) * 2**-53; word 3 goes unused. `shot_rng` gives
+one shot as a generator of its own, and its draws past the third run into
+the next shot's block. A branch draw compares the shot's uniform with f: a
+uniform below f draws the clean state. Exact and sampled rows run one loop,
+where every round starts from protocol's canonical pair at its input
+fidelity: the exact engine runs that pair with purify_pair, and each shot
+looks its outcome up in tables that protocol's own prepare, compare and lift
+stages build from it, so both run the same circuit. The tables depend only on
+(n, basis) and are built once each. The wall_time_ms column reads 0 for
+byte-reproducible files; timing goes to stderr.
 """
 
 from __future__ import annotations
@@ -47,16 +44,11 @@ from .protocol import (
 from .states import MAX_QUBITS, Ensemble, make_logic_bell, map_branches
 
 # Philox4x64-10 (Salmon et al., SC'11) as numpy's Philox runs it: the seed
-# fills the two key words and the stream two counter words, so both must be
-# below _KEY_LIMIT. Shots are drawn in chunks of _SHOT_CHUNK so that the
-# uint64 temporaries stay small.
+# fills the two key words and the stream the top two counter words, so both
+# must be below _KEY_LIMIT. Shots are drawn in chunks of _SHOT_CHUNK so that
+# the uint64 temporaries stay small.
 _KEY_LIMIT = 1 << 128
-_MASK64 = (1 << 64) - 1
-_MASK32 = (1 << 32) - 1
-_LOW32, _SHIFT32, _SHIFT11 = np.uint64(_MASK32), np.uint64(32), np.uint64(11)
-_PHILOX_ROUNDS = 10
-_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
-_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+_SHIFT11 = np.uint64(11)
 _SHOT_CHUNK = 4096
 # whether cell 4*b + o of the shot tables keeps its shot, whatever branch pair b
 _KEEP = np.tile([key in KEPT_OUTCOMES for key in np.ndindex(2, 2)], 4)
@@ -281,8 +273,14 @@ def resolve_config(mode: str, flag_values: dict, config_path: str | None) -> Exp
 
 
 def shot_rng(seed: int, stream: int, shot: int) -> np.random.Generator:
-    """Counter-based per-shot generator; see the module docstring."""
-    counter = (stream << 128) + (shot << 64)
+    """The generator of shot `shot` of stream `stream`.
+
+    Its counter starts at (stream << 128) + shot, and numpy bumps it before
+    the first block, so random(3) reads block (stream << 128) + shot + 1,
+    the words sample_purify reads for that shot. Draws past the third run
+    into the next shot's block.
+    """
+    counter = (stream << 128) + shot
     return np.random.Generator(np.random.Philox(key=seed, counter=counter))
 
 
@@ -319,61 +317,6 @@ def _shot_tables(n: int, basis: str) -> tuple[np.ndarray, np.ndarray]:
     return cdf, fid
 
 
-def _mulhilo(a: int, b: int | np.ndarray):
-    """High and low 64-bit words of the 128-bit product a * b.
-
-    A Python-int b gives Python ints: that is a lane whose counter word is
-    the same for every shot. An array b takes Knuth's carry form on 32-bit
-    halves, where no partial sum wraps.
-    """
-    if isinstance(b, int):
-        p = a * b
-        return p >> 64, p & _MASK64
-    a_lo, a_hi = np.uint64(a & _MASK32), np.uint64(a >> 32)
-    b_lo = b & _LOW32
-    b_hi = b >> _SHIFT32
-    u = a_hi * b_lo
-    b_lo *= a_lo
-    b_lo >>= _SHIFT32
-    u += b_lo
-    v = a_lo * b_hi
-    np.bitwise_and(u, _LOW32, out=b_lo)
-    v += b_lo
-    hi = b_hi
-    hi *= a_hi
-    u >>= _SHIFT32
-    hi += u
-    v >>= _SHIFT32
-    hi += v
-    return hi, np.uint64(a) * b
-
-
-def _shot_words(seed: int, stream: int, first: int, count: int) -> list[np.ndarray]:
-    """The three output words of the Philox block of shots first .. first +
-    count - 1 that shot_rng(seed, stream, shot).random(3) reads.
-
-    A counter word that is the same for every shot stays a Python int, so
-    its products are computed once: both in round 1, M1's in round 2 and
-    M0's in round 3. The shot index enters round 1 only through an XOR.
-    """
-    ctr = [
-        1,
-        np.arange(count, dtype=np.uint64) + np.uint64(first),
-        stream & _MASK64,
-        stream >> 64,
-    ]
-    k0, k1 = seed & _MASK64, seed >> 64
-    for _ in range(_PHILOX_ROUNDS):
-        hi0, lo0 = _mulhilo(_PHILOX_M[0], ctr[0])
-        hi1, lo1 = _mulhilo(_PHILOX_M[1], ctr[2])
-        hi1 ^= ctr[1] ^ k0
-        hi0 ^= ctr[3] ^ k1
-        ctr = [hi1, lo1, hi0, lo0]
-        k0 = (k0 + _PHILOX_W[0]) & _MASK64
-        k1 = (k1 + _PHILOX_W[1]) & _MASK64
-    return ctr[:3]
-
-
 def _uniforms(w: np.ndarray) -> np.ndarray:
     """numpy's double from a raw output word: (w >> 11) * 2**-53."""
     return (w >> _SHIFT11) * 2.0**-53
@@ -398,10 +341,13 @@ def sample_purify(
     cdf, fid = _shot_tables(n, basis)
     # cdf_at[j][b] is branch b's CDF at outcome j; cell 4*b + o indexes the rest
     cdf_at, fids = cdf.T, fid.ravel()
+    # shot i reads block i of the stream; see the module docstring
+    bits = np.random.Philox(key=seed, counter=stream << 128)
     kept = 0
     fid_sum = 0.0
     for first in range(0, shots, _SHOT_CHUNK):
-        w0, w1, w2 = _shot_words(seed, stream, first, min(_SHOT_CHUNK, shots - first))
+        count = min(_SHOT_CHUNK, shots - first)
+        w0, w1, w2, _ = bits.random_raw(4 * count).reshape(count, 4).T
         branch = 2 * (_uniforms(w0) >= f)
         branch += _uniforms(w1) >= f
         # per shot, min(searchsorted(cdf, u2 * cdf[3], side="right"), 3); the

@@ -213,7 +213,9 @@ def overlap(s1: PureState, s2: PureState) -> complex:
     at = np.searchsorted(s2.idx, s1.idx)
     hit = at < len(s2.idx)
     hit[hit] = s2.idx[at[hit]] == s1.idx[hit]
-    return complex(np.vdot(s1.vals[hit], s2.vals[at[hit]]))
+    # not np.vdot: BLAS picks its zdotc kernel from the CPU, and a fused
+    # multiply-add there leaves <phi+|psi+> = a - a at one product's rounding
+    return complex((s1.vals[hit].conj() * s2.vals[at[hit]]).sum())
 
 
 def tensor(s1: PureState, s2: PureState) -> PureState:

@@ -1,10 +1,14 @@
 import importlib.metadata
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import click
 import pytest
 from click.testing import CliRunner
 
+import ghzpurify
 import ghzpurify.harness
 import ghzpurify.protocol
 import ghzpurify.states
@@ -275,6 +279,40 @@ def test_sampled_runs_are_byte_identical(runner, tmp_path):
     second = runner.invoke(main, args + ["--out", str(tmp_path / "b.csv")])
     assert first.exit_code == 0 and second.exit_code == 0
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+
+# Runs exact commands, then a sampled one, through the CLI in one interpreter
+# and prints after each group whether numpy.random is loaded; the sampled run
+# shows that the check sees the import.
+_RANDOM_LOADED = """
+import sys
+from click.testing import CliRunner
+from ghzpurify.cli import main
+
+def loaded_after(*commands):
+    for args in commands:
+        assert CliRunner().invoke(main, args).exit_code == 0, args
+    return "numpy.random" in sys.modules
+
+print(loaded_after(
+    ["purify", "--n", "2", "--fidelity", "0.8"],
+    ["sweep", "--n", "3", "--f-min", "0", "--f-max", "1", "--steps", "3", "--rounds", "2"],
+    ["correct", "--n", "3", "--flip-position", "2"],
+))
+print(loaded_after(["purify", "--n", "2", "--fidelity", "0.8", "--shots", "10"]))
+"""
+
+
+def test_numpy_random_loads_only_for_sampled_rounds():
+    # exact rows and correct keep numpy.random's import cost out; verify is
+    # not among them, as its random-state checks draw from numpy.random
+    src = str(Path(ghzpurify.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-c", _RANDOM_LOADED], env=env, capture_output=True, text=True
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["False", "True"]
 
 
 def test_config_file_with_flag_override(runner, tmp_path):

@@ -20,7 +20,6 @@ from ghzpurify.harness import (
     _KEEP,
     _SHOT_CHUNK,
     _shot_tables,
-    _shot_words,
     _uniforms,
     parse_config_file,
     render_csv,
@@ -33,6 +32,7 @@ from ghzpurify.harness import (
     write_results,
 )
 import ghzpurify
+import ghzpurify.harness as harness
 from ghzpurify.noise import ErrorKind, ErrorModel, apply_error_model
 from ghzpurify.protocol import (
     KEPT_OUTCOMES,
@@ -338,24 +338,29 @@ def test_sample_purify_refuses_keys_outside_128_bits(seed, stream):
         sample_purify(2, "bit", 0.8, shots=10, seed=seed, stream=stream)
 
 
-def _shot_uniforms(seed, stream, first, count):
-    """Uniforms of shots first .. first + count - 1, shape (3, count)."""
-    return np.stack([_uniforms(w) for w in _shot_words(seed, stream, first, count)])
-
-
 @pytest.mark.parametrize("seed", [0, 5, 2**32 - 1, 2**64 + 5, 2**128 - 1])
 @pytest.mark.parametrize("stream", [0, 1, 2**70 + 3])
-def test_shot_uniforms_match_shot_rng_bit_for_bit(seed, stream):
-    want = np.array(
-        [shot_rng(seed, stream, i).random(3) for i in range(_SHOT_CHUNK + 1)]
-    ).T
-    for count in (_SHOT_CHUNK - 1, _SHOT_CHUNK, _SHOT_CHUNK + 1):
-        assert np.array_equal(_shot_uniforms(seed, stream, 0, count), want[:, :count])
-    assert np.array_equal(_shot_uniforms(seed, stream, _SHOT_CHUNK, 1), want[:, -1:])
-    # shot indices past 32 bits and up to the last 64-bit counter word
-    for first in (2**32 - 3, 2**63 + 11, 2**64 - 6):
+def test_shot_uniforms_match_shot_rng_bit_for_bit(seed, stream, monkeypatch):
+    # the words sample_purify turns into uniforms, three per chunk, in order
+    read = []
+
+    def spy(w):
+        read.append(w)
+        return _uniforms(w)
+
+    monkeypatch.setattr(harness, "_uniforms", spy)
+    sample_purify(2, "bit", 0.5, shots=_SHOT_CHUNK + 2, seed=seed, stream=stream)
+    assert [len(w) for w in read] == [_SHOT_CHUNK] * 3 + [2] * 3
+    got = np.concatenate([_uniforms(np.stack(read[k : k + 3])) for k in (0, 3)], axis=1)
+    want = [shot_rng(seed, stream, i).random(3) for i in range(_SHOT_CHUNK + 2)]
+    assert np.array_equal(got, np.array(want).T)
+    # shot indices past 32 and 64 bits: consecutive shots are consecutive
+    # blocks of one stream, so the counter carries as sample_purify's does
+    for first in (2**32 - 3, 2**63 + 11, 2**64 - 3):
+        bits = np.random.Philox(key=seed, counter=(stream << 128) + first)
+        words = bits.random_raw(4 * 6).reshape(6, 4)[:, :3]
         far = [shot_rng(seed, stream, first + k).random(3) for k in range(6)]
-        assert np.array_equal(_shot_uniforms(seed, stream, first, 6), np.array(far).T)
+        assert np.array_equal(_uniforms(words), np.array(far))
 
 
 @pytest.mark.parametrize("f", [0.0, 0.5, 1.0, 2**-60, 0.3, 0.8, 1.0 - 2**-53])
@@ -512,12 +517,12 @@ def test_sampled_sweep_rows_are_reproducible():
         (
             {"n": 2, "error": "logic-bit", "fidelity": 0.8, "shots": 20000,
              "rounds": 2, "seed": 2026},
-            "e6a16fd067a0b89bb81c268d5c16b8f6850815cc47b3aabe803a77b6e1c597c8",
+            "29aedee3e952f4ea2980dc9f66fb1a293079bc300d6bfeb2e8d19b12ab5cd6e9",
         ),
         (
             {"n": 3, "error": "logic-phase", "fidelity": 0.7, "shots": 4097,
              "rounds": 2, "seed": 2**64 + 5},
-            "1b90ee666ea5ecf9df6b1ca0491db10241a352c2ea88edd5f9a4234644df1c7d",
+            "38f00c8e5bd2c325dcb93829104db006669d497b535c5879908cfbed7044120f",
         ),
         (
             {"n": 5, "error": "logic-phase", "fidelity": 0.7, "rounds": 3},

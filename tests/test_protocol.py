@@ -269,9 +269,9 @@ def test_two_rounds_compose():
 # equal kept states, so a change in the order of a round's arithmetic shows.
 ROUND_HEX = {
     ("bit", 0.0): (
-        ("0x1.0793ec2ff60b7p-121", "0x1.ffffffffffffap-1"),
-        ("0x1.0793ec2ff60b7p-121", "0x1.ffffffffffffap-1"),
-        ("0x1.0793ec2ff60b7p-121", "0x1.ffffffffffffap-1"),
+        ("0x0.0p+0", "0x1.ffffffffffffap-1"),
+        ("0x0.0p+0", "0x1.ffffffffffffap-1"),
+        ("0x0.0p+0", "0x1.ffffffffffffap-1"),
     ),
     ("bit", 0.3): (
         ("0x1.3dcb08d3dcb06p-3", "0x1.28f5c28f5c28bp-1"),
@@ -294,9 +294,9 @@ ROUND_HEX = {
         ("0x1.ffffffffffffap-1", "0x1.fffffffffffeep-1"),
     ),
     ("phase", 0.0): (
-        ("0x1.0793ec2ff60b7p-121", "0x1.ffffffffffff8p-1"),
-        ("0x1.0793ec2ff60b7p-121", "0x1.ffffffffffffap-1"),
-        ("0x1.0793ec2ff60b7p-121", "0x1.ffffffffffffap-1"),
+        ("0x0.0p+0", "0x1.ffffffffffff8p-1"),
+        ("0x0.0p+0", "0x1.ffffffffffffap-1"),
+        ("0x0.0p+0", "0x1.ffffffffffffap-1"),
     ),
     ("phase", 0.3): (
         ("0x1.3dcb08d3dcb05p-3", "0x1.28f5c28f5c28ap-1"),
