@@ -12,11 +12,9 @@ one shot as a generator of its own, and its draws past the third run into
 the next shot's block. A branch draw compares the shot's uniform with f: a
 uniform below f draws the clean state. Exact and sampled rows run one loop,
 where every round starts from protocol's canonical pair at its input
-fidelity: the exact engine runs that pair with purify_pair, and each shot
-looks its outcome up in tables that protocol's own prepare, compare and lift
-stages build from it, so both run the same circuit. The tables depend only on
-(n, basis) and are built once each. The wall_time_ms column reads 0 for
-byte-reproducible files; timing goes to stderr.
+fidelity: purify_pair runs that pair exactly, and each shot looks its outcome
+up in protocol.round_table, that circuit's outcome law. The wall_time_ms
+column reads 0 for byte-reproducible files; timing goes to stderr.
 """
 
 from __future__ import annotations
@@ -32,16 +30,14 @@ import numpy as np
 from .errors import ConfigError
 from .noise import ERROR_ALIASES, ErrorKind, ErrorModel, apply_error_model
 from .protocol import (
-    KEPT_OUTCOMES,
+    KEEP_MASK,
     canonical_pair,
-    compare_copies,
     correct_physical_bitflip,
-    lift_kept,
-    prepare_copy,
     purify_pair,
     round_bases,
+    round_table,
 )
-from .states import MAX_QUBITS, Ensemble, make_logic_bell, map_branches
+from .states import MAX_QUBITS, Ensemble, make_logic_bell
 
 # Philox4x64-10 (Salmon et al., SC'11) as numpy's Philox runs it: the seed
 # fills the two key words and the stream the top two counter words, so both
@@ -51,7 +47,7 @@ _KEY_LIMIT = 1 << 128
 _SHIFT11 = np.uint64(11)
 _SHOT_CHUNK = 4096
 # whether cell 4*b + o of the shot tables keeps its shot, whatever branch pair b
-_KEEP = np.tile([key in KEPT_OUTCOMES for key in np.ndindex(2, 2)], 4)
+_KEEP = np.tile(KEEP_MASK, 4)
 _KEEP.flags.writeable = False
 
 # Rows per run; each costs about 660 B as a ResultRow plus its CSV text.
@@ -292,28 +288,10 @@ class SampleEstimate:
 
 @functools.cache
 def _shot_tables(n: int, basis: str) -> tuple[np.ndarray, np.ndarray]:
-    """Outcome CDF and kept-state fidelity, as two read-only 4 x 4 arrays.
-
-    Row b = 2*s1 + s2 is the branch pair, with s = 0 for the clean state and
-    1 for the errored one; column o = 2*o1 + o2 is the sacrificed outcome,
-    and _KEEP[4*b + o] says whether it keeps the shot. Each row is one run of
-    protocol's compare and lift stages on the two prepared copies; a cell
-    that is not kept has fidelity 0. Both are cached per (n, basis).
-    """
-    prepared = [
-        map_branches(canonical_pair(n, basis, f), lambda s: prepare_copy(s, basis))
-        for f in (1.0, 0.0)
-    ]
-    probs, fid = np.zeros((4, 4)), np.zeros((4, 4))
-    for b in range(4):
-        outcomes = compare_copies(prepared[b // 2], prepared[b % 2])
-        for o, key in enumerate(np.ndindex(2, 2)):
-            if key in outcomes:
-                probs[b, o], kept = outcomes[key]
-                if _KEEP[o]:
-                    fid[b, o] = lift_kept(kept)[1]
+    """protocol.round_table with each row of probabilities as a CDF; read-only, cached."""
+    probs, fid = round_table(n, basis)
     cdf = np.cumsum(probs, axis=1)
-    cdf.flags.writeable = fid.flags.writeable = False
+    cdf.flags.writeable = False
     return cdf, fid
 
 

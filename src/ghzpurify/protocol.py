@@ -14,10 +14,10 @@ surviving 2n-mode state is lifted back to a logic Bell pair by the inverse of
 the reduction. Every state on the way has a handful of nonzero amplitudes,
 and the engine's cost follows them, not 2^(2n); each gate layer is one
 kernel call. These three stages are prepare_copy, compare_copies and
-lift_kept, and purify_pair runs them on two copies of one pair; the Monte
-Carlo sampler builds its outcome tables from the same functions. Each stage
-reads the logic qubits from its input's register: the first n modes are A,
-the last n are B.
+lift_kept; purify_pair runs them on two copies of one pair, and round_table
+once per branch pair for the outcome law that the Monte Carlo sampler reads.
+Each stage reads the logic qubits from its input's register: the first n
+modes are A, the last n are B.
 
 Bit-type errors (psi+ admixtures) purify directly. Phase-type errors (phi-
 admixtures) are first converted to bit type by Hadamards on the kept modes
@@ -29,6 +29,7 @@ re-prepared) before the fan-out re-entangles the block.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,6 +61,8 @@ BASES = ("bit", "phase")
 SACRIFICED = ("c1", "d1")
 # the sacrificed measurements' (c1, d1) readings that keep a run: they agree
 KEPT_OUTCOMES = ((0, 0), (1, 1))
+# whether outcome o = 2*o1 + o2 keeps its run
+KEEP_MASK = tuple(key in KEPT_OUTCOMES for key in np.ndindex(2, 2))
 
 
 def _logic_modes(pair: PureState | Ensemble) -> tuple[tuple[str, ...], ...]:
@@ -249,6 +252,30 @@ def purify_pair(pair: Ensemble, basis: str) -> ProtocolOutcome:
     p, kept = postselect_equal(compare_copies(first, first))
     kept, fid = lift_kept(kept)
     return ProtocolOutcome(p, kept, fid)
+
+
+@functools.cache
+def round_table(n: int, basis: str) -> tuple[np.ndarray, np.ndarray]:
+    """A round's outcome law as two read-only 4 x 4 arrays, cached per (n, basis):
+    probs[b, o], the chance of sacrificed outcome o = 2*o1 + o2 on branch pair
+    b = 2*s1 + s2 (s = 0 clean, 1 errored), from one compare_copies run on the
+    two prepared copies, and fid[b, o], the fidelity lift_kept gives a kept
+    outcome (0 where KEEP_MASK[o] is false). By the reduction neither depends on n.
+    """
+    prepared = [
+        map_branches(canonical_pair(n, basis, f), lambda s: prepare_copy(s, basis))
+        for f in (1.0, 0.0)
+    ]
+    probs, fid = np.zeros((4, 4)), np.zeros((4, 4))
+    for b in range(4):
+        outcomes = compare_copies(prepared[b // 2], prepared[b % 2])
+        for o, key in enumerate(np.ndindex(2, 2)):
+            if key in outcomes:
+                probs[b, o], kept = outcomes[key]
+                if KEEP_MASK[o]:
+                    fid[b, o] = lift_kept(kept)[1]
+    probs.flags.writeable = fid.flags.writeable = False
+    return probs, fid
 
 
 def round_bases(basis: str, rounds: int) -> list[str]:

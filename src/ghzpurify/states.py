@@ -145,11 +145,6 @@ class PureState:
         amps.flags.writeable = False
         return amps
 
-    def amplitude(self, bits: str | Sequence[int]) -> complex:
-        """Amplitude of one computational basis ket, leftmost bit first."""
-        hit = self.idx == _bits_to_index(bits, self.n_qubits)
-        return complex(self.vals[hit].sum())
-
 
 def _bits_to_index(bits: str | Sequence[int], n: int) -> int:
     vals = [int(b) for b in bits]

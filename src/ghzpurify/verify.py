@@ -26,6 +26,7 @@ from .protocol import (
     purify_round,
     recover_logic,
     reduce_copy,
+    round_table,
 )
 from .states import (
     BELL_KINDS,
@@ -169,20 +170,35 @@ def check_bennett_maps(ns: tuple[int, ...]) -> CheckResult:
     return _result("bennett_maps", dev, EXACT_TOL)
 
 
+def _round_ns(ns: tuple[int, ...]) -> list[int]:
+    """The n in ns whose 2n + 2 round qubits fit under MAX_QUBITS."""
+    return [k for k in ns if 2 * k + 2 <= MAX_QUBITS]
+
+
 def check_purify_map_grid(ns: tuple[int, ...]) -> CheckResult:
     """Engine output must match f^2/(f^2+(1-f)^2) and the success formula,
-    at every n in ns whose 2n + 2 round qubits fit under MAX_QUBITS; larger
-    n are skipped."""
+    at every n in ns whose round fits (_round_ns); larger n are skipped."""
     grid = [0.0, 0.25, 0.5, 0.55, 0.6, 0.68, 0.75, 0.8, 0.9, 0.95, 1.0]
     dev = 0.0
-    for n, basis, f in itertools.product(
-        [k for k in ns if 2 * k + 2 <= MAX_QUBITS], BASES, grid
-    ):
+    for n, basis, f in itertools.product(_round_ns(ns), BASES, grid):
         out = purify_round(PurifyConfig(n=n, error_basis=basis, input_fidelity=f))
         dev = max(dev, abs(out.success_probability - one_round_success_probability(f)))
         if out.success_probability > 0:
             dev = max(dev, abs(out.fidelity - one_round_fidelity_map(f)))
     return _result("purify_map_grid", dev, EXACT_TOL)
+
+
+def check_round_table_independent_of_n(ns: tuple[int, ...]) -> CheckResult:
+    """The paper's reduction: purifying the logic pair is purifying the
+    physical pair on the first modes, so a round's outcome law at every n in
+    ns whose round fits (_round_ns) equals the n = 2 law bit for bit, in
+    both bases."""
+    dev = 0.0
+    for n, basis in itertools.product(_round_ns(ns), BASES):
+        for got, want in zip(round_table(n, basis), round_table(2, basis)):
+            # np.max keeps a NaN, where the builtin max would drop it
+            dev = float(np.max(np.abs(got - want), initial=dev))
+    return _result("round_table_independent_of_n", dev, 0.0)
 
 
 def check_improvement_region(ns: tuple[int, ...]) -> CheckResult:
@@ -295,6 +311,7 @@ CHECK_FUNCS: list[Callable[[tuple[int, ...]], CheckResult]] = [
     check_recovery_inverts_reduction,
     check_bennett_maps,
     check_purify_map_grid,
+    check_round_table_independent_of_n,
     check_improvement_region,
     check_iteration_composes,
     check_bitflip_correction,

@@ -14,7 +14,7 @@ import numpy as np
 
 from ghzpurify.errors import RegisterError
 from ghzpurify.gates import OUTCOME_EPS
-from ghzpurify.states import Ensemble, PureState, Register
+from ghzpurify.states import Ensemble, PureState, Register, _bits_to_index
 
 SQRT2 = np.sqrt(2.0)
 H = np.array([[1, 1], [1, -1]], dtype=np.complex128) / SQRT2
@@ -24,6 +24,11 @@ PAULI = {"X": X, "Z": Z}
 # up to this many trailing amplitudes, one product with mat (x) identity
 # beats a batched matmul, whose per-batch overhead then dominates
 NARROW_REST = 16
+
+
+def amplitude(s, bits):
+    """Amplitude of one computational basis ket, leftmost bit first."""
+    return complex(s.vals[s.idx == _bits_to_index(bits, s.n_qubits)].sum())
 
 
 def apply_single(s, label, mat):

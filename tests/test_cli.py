@@ -464,6 +464,22 @@ def test_oversize_row_count_refused_before_any_grid_or_state(runner, monkeypatch
     assert f"error: {message}" in result.stderr
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["purify", "--fidelity", "0.8", "--seed", "-1"], "seed must be non-negative, got -1"),
+        (["sweep", "--f-min", "0.6", "--f-max", "0.8", "--steps", "0"], "steps must be at least 1, got 0"),
+    ],
+    ids=["purify-seed", "sweep-steps"],
+)
+def test_value_out_of_range_exits_2_before_any_state_is_built(runner, monkeypatch, args, message):
+    _forbid_building_a_state(monkeypatch, "a state was built before the value check")
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert f"error: {message}" in result.stderr
+
+
 def test_verify_passes_and_prints_lines(runner):
     result = runner.invoke(main, ["verify", "--n", "2"])
     assert result.exit_code == 0

@@ -27,6 +27,7 @@ from ghzpurify.protocol import (
     recover_logic,
     reduce_copy,
     round_bases,
+    round_table,
 )
 from ghzpurify.states import (
     BELL_KINDS,
@@ -329,6 +330,34 @@ def test_round_floats_match_pinned_hex(basis, f):
         assert got == ROUND_HEX[basis, f], n
 
 
+# the paper's reduction: after the fan-out a logic pair purifies as the
+# physical pair on its first modes, so nothing a round gives depends on n
+@pytest.mark.parametrize("n", range(2, 12))
+@pytest.mark.parametrize("basis", BASES)
+def test_round_table_does_not_depend_on_n(n, basis):
+    for got, want in zip(round_table(n, basis), round_table(2, basis)):
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n", range(2, 12))
+@pytest.mark.parametrize("basis", BASES)
+def test_exact_round_does_not_depend_on_n(n, basis):
+    for f in (0.0, 2.0**-537, 0.3, 0.5, 0.8, 1.0 - 2.0**-53, 1.0):
+        got = purify_pair(canonical_pair(n, basis, f), basis)
+        want = purify_pair(canonical_pair(2, basis, f), basis)
+        assert got.fidelity == want.fidelity, f
+        assert got.success_probability == want.success_probability, f
+
+
+def test_round_table_is_cached_and_read_only():
+    tables = round_table(3, "phase")
+    assert round_table(3, "phase") is tables
+    assert [table.shape for table in tables] == [(4, 4), (4, 4)]
+    for table in tables:
+        with pytest.raises(ValueError, match="read-only"):
+            table[0] = 0.5
+
+
 @pytest.mark.parametrize("basis", BASES)
 @pytest.mark.parametrize("f, distinct", [(0.0, 1), (0.3, 2), (0.8, 2), (1.0, 1)])
 def test_lift_keeps_one_branch_per_distinct_kept_state(basis, f, distinct):
@@ -444,6 +473,8 @@ def test_correct_path_argument_checked():
     pair = Ensemble.pure(make_logic_bell(2, "phi+"))
     with pytest.raises(ValueError):
         correct_physical_bitflip(pair, path="noisy")
+    with pytest.raises(ValueError, match="suspected logic qubit must be 'A' or 'B'"):
+        correct_physical_bitflip(pair, suspected_logic_qubit="C")
 
 
 def test_routing_table():
@@ -487,6 +518,8 @@ def test_run_routed_corrects_phys_bitflip():
 def test_prepare_copy_refuses_an_unknown_basis(basis):
     with pytest.raises(ValueError, match="basis must be one of"):
         prepare_copy(make_logic_bell(2, "phi+"), basis)
+    with pytest.raises(ValueError, match="basis must be one of"):
+        canonical_pair(2, basis, 0.8)
 
 
 @settings(max_examples=40, deadline=None)

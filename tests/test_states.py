@@ -28,6 +28,7 @@ from ghzpurify.states import (
 )
 
 from circuits import register
+from dense import amplitude
 
 SQRT_HALF = 1.0 / np.sqrt(2.0)
 
@@ -73,14 +74,18 @@ def test_basis_state_amplitude_convention():
     s = basis_state(reg, "011")
     # leftmost bit belongs to q1 and is the most significant index bit
     assert s.amps[0b011] == 1.0
-    assert s.amplitude("011") == 1.0
-    assert s.amplitude([0, 1, 1]) == 1.0
+    assert amplitude(s, "011") == 1.0
+    assert amplitude(s, [0, 1, 1]) == 1.0
+    with pytest.raises(ValueError, match="need 3 bits"):
+        basis_state(reg, "012")
 
 
 def test_pure_state_requires_normalization():
     reg = Register(("q1",))
     with pytest.raises(ValueError):
         PureState(reg, np.array([1.0, 1.0]))
+    with pytest.raises(RegisterError, match="does not match 1-qubit register"):
+        PureState(reg, np.array([1.0, 0.0, 0.0, 0.0]))
 
 
 def test_pure_state_refuses_nan_and_inf_amplitudes():
@@ -96,11 +101,11 @@ def test_pure_state_refuses_nan_and_inf_amplitudes():
 
 def test_bell_state_amplitudes():
     phi_plus = make_bell("phi+")
-    assert phi_plus.amplitude("00") == pytest.approx(SQRT_HALF)
-    assert phi_plus.amplitude("11") == pytest.approx(SQRT_HALF)
+    assert amplitude(phi_plus, "00") == pytest.approx(SQRT_HALF)
+    assert amplitude(phi_plus, "11") == pytest.approx(SQRT_HALF)
     psi_minus = make_bell("psi-")
-    assert psi_minus.amplitude("01") == pytest.approx(SQRT_HALF)
-    assert psi_minus.amplitude("10") == pytest.approx(-SQRT_HALF)
+    assert amplitude(psi_minus, "01") == pytest.approx(SQRT_HALF)
+    assert amplitude(psi_minus, "10") == pytest.approx(-SQRT_HALF)
 
 
 def test_bell_states_orthonormal():
@@ -115,21 +120,21 @@ def test_logic_bell_closed_forms(n):
     zeros = "0" * n
     ones = "1" * n
     phi_plus = make_logic_bell(n, "phi+")
-    assert phi_plus.amplitude(zeros + zeros) == pytest.approx(SQRT_HALF)
-    assert phi_plus.amplitude(ones + ones) == pytest.approx(SQRT_HALF)
+    assert amplitude(phi_plus, zeros + zeros) == pytest.approx(SQRT_HALF)
+    assert amplitude(phi_plus, ones + ones) == pytest.approx(SQRT_HALF)
     assert np.count_nonzero(np.abs(phi_plus.amps) > 1e-15) == 2
 
     phi_minus = make_logic_bell(n, "phi-")
-    assert phi_minus.amplitude(zeros + ones) == pytest.approx(SQRT_HALF)
-    assert phi_minus.amplitude(ones + zeros) == pytest.approx(SQRT_HALF)
+    assert amplitude(phi_minus, zeros + ones) == pytest.approx(SQRT_HALF)
+    assert amplitude(phi_minus, ones + zeros) == pytest.approx(SQRT_HALF)
 
     psi_plus = make_logic_bell(n, "psi+")
-    assert psi_plus.amplitude(zeros + zeros) == pytest.approx(SQRT_HALF)
-    assert psi_plus.amplitude(ones + ones) == pytest.approx(-SQRT_HALF)
+    assert amplitude(psi_plus, zeros + zeros) == pytest.approx(SQRT_HALF)
+    assert amplitude(psi_plus, ones + ones) == pytest.approx(-SQRT_HALF)
 
     psi_minus = make_logic_bell(n, "psi-")
-    assert psi_minus.amplitude(ones + zeros) == pytest.approx(SQRT_HALF)
-    assert psi_minus.amplitude(zeros + ones) == pytest.approx(-SQRT_HALF)
+    assert amplitude(psi_minus, ones + zeros) == pytest.approx(SQRT_HALF)
+    assert amplitude(psi_minus, zeros + ones) == pytest.approx(-SQRT_HALF)
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -144,6 +149,13 @@ def test_logic_bell_needs_two_modes():
         make_logic_bell(1, "phi+")
 
 
+def test_bell_builders_refuse_an_unknown_kind():
+    with pytest.raises(ValueError, match="unknown Bell kind 'chi"):
+        make_bell("chi+")
+    with pytest.raises(ValueError, match="unknown logic Bell kind 'chi"):
+        make_logic_bell(2, "chi+")
+
+
 def test_overlap_register_mismatch():
     with pytest.raises(RegisterError):
         overlap(make_bell("phi+", ("q1", "q2")), make_bell("phi+", ("q3", "q4")))
@@ -152,7 +164,7 @@ def test_overlap_register_mismatch():
 def test_tensor_order_and_labels():
     s = tensor(basis_state(Register(("q1",)), "1"), basis_state(Register(("q2",)), "0"))
     assert s.register.labels == ("q1", "q2")
-    assert s.amplitude("10") == 1.0
+    assert amplitude(s, "10") == 1.0
     with pytest.raises(RegisterError):
         tensor(s, basis_state(Register(("q1",)), "0"))
 
@@ -160,7 +172,9 @@ def test_tensor_order_and_labels():
 def test_with_labels_renames():
     s = with_labels(make_bell("phi+"), ("x", "y"))
     assert s.register.labels == ("x", "y")
-    assert s.amplitude("00") == pytest.approx(SQRT_HALF)
+    assert amplitude(s, "00") == pytest.approx(SQRT_HALF)
+    with pytest.raises(RegisterError, match="label count mismatch"):
+        with_labels(s, ("x", "y", "z"))
 
 
 def test_permute_reorders_axes():
@@ -171,7 +185,7 @@ def test_permute_reorders_axes():
     p = permute(s, ("q3", "q1", "q2"))
     for bits in range(8):
         b = [(bits >> 2) & 1, (bits >> 1) & 1, bits & 1]
-        assert p.amplitude([b[2], b[0], b[1]]) == pytest.approx(s.amplitude(b))
+        assert amplitude(p, [b[2], b[0], b[1]]) == pytest.approx(amplitude(s, b))
     back = permute(p, ("q1", "q2", "q3"))
     assert np.allclose(back.amps, s.amps)
 
@@ -248,6 +262,11 @@ def test_density_matrix_qubit_cap():
     reg = register([("q", 13)])
     with pytest.raises(RegisterError, match="capped at 12 qubits"):
         DensityMatrix(reg, np.eye(2, dtype=np.complex128) / 2)
+
+
+def test_density_matrix_shape_must_match_register():
+    with pytest.raises(RegisterError, match=r"matrix shape \(2, 2\) does not match"):
+        DensityMatrix(Register(("q1", "q2")), np.eye(2, dtype=np.complex128) / 2)
 
 
 def test_equal_label_tuples_share_one_register():

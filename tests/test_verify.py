@@ -1,9 +1,10 @@
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 import ghzpurify.verify
-from ghzpurify.protocol import PurifyConfig, purify_round
+from ghzpurify.protocol import PurifyConfig, purify_round, round_table
 from ghzpurify.states import to_density_matrix
 from ghzpurify.verify import (
     CHECK_FUNCS,
@@ -11,6 +12,7 @@ from ghzpurify.verify import (
     check_improvement_region,
     check_oracle_round_agreement,
     check_purify_map_grid,
+    check_round_table_independent_of_n,
     run_verify,
 )
 
@@ -64,6 +66,31 @@ def test_purify_map_check_covers_every_n_whose_round_fits(monkeypatch):
     monkeypatch.setattr(ghzpurify.verify, "purify_round", recorded_round)
     assert check_purify_map_grid(tuple(range(2, 13))).passed
     assert sorted(set(asked)) == list(range(2, 12))
+
+
+def test_round_table_check_covers_every_n_whose_round_fits(monkeypatch):
+    asked = []
+
+    def recorded_table(n, basis):
+        asked.append((n, basis))
+        return round_table(n, basis)
+
+    monkeypatch.setattr(ghzpurify.verify, "round_table", recorded_table)
+    assert check_round_table_independent_of_n(tuple(range(2, 13))).passed
+    assert sorted(set(asked)) == [(n, b) for n in range(2, 12) for b in ("bit", "phase")]
+
+
+@pytest.mark.parametrize(
+    "drift", [lambda fid: np.nextafter(fid, 2.0), lambda fid: fid * np.nan], ids=["ulp", "nan"]
+)
+def test_round_table_check_fails_when_one_n_differs(monkeypatch, drift):
+    def drifted_table(n, basis):
+        probs, fid = round_table(n, basis)
+        return probs, (drift(fid) if n == 3 else fid)
+
+    monkeypatch.setattr(ghzpurify.verify, "round_table", drifted_table)
+    result = check_round_table_independent_of_n((2, 3, 4))
+    assert not result.passed and not result.max_deviation <= 0.0
 
 
 def test_improvement_check_runs_the_engine(monkeypatch):
