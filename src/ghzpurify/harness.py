@@ -254,16 +254,15 @@ def resolve_config(mode: str, flag_values: dict, config_path: str | None) -> Exp
     for key, val in flag_values.items():
         if val is not None:
             merged[key] = val
+    unknown = [key for key in merged if key not in CONFIG_KEYS]
+    if unknown:
+        raise ConfigError(f"unknown key {unknown[0]!r}")
     if "error" in merged:
         name = str(merged["error"])
         if name not in ERROR_ALIASES:
             raise ConfigError(f"unknown error kind {name!r}")
         merged["error"] = ERROR_ALIASES[name]
-    kwargs = {k.replace("-", "_"): v for k, v in merged.items()}
-    try:
-        cfg = ExperimentConfig(mode=mode, **kwargs)
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from None
+    cfg = ExperimentConfig(mode=mode, **{k.replace("-", "_"): v for k, v in merged.items()})
     cfg.validate()
     return cfg
 

@@ -196,6 +196,10 @@ def test_resolve_config_error_aliases():
     assert cfg.error is ErrorKind.LOGIC_BITFLIP
     with pytest.raises(ConfigError):
         resolve_config("purify", {"error": "gremlins", "fidelity": 0.8}, None)
+    # a key that is not a config key is named, whether or not it looks like a field
+    for key in ("bogus", "flip_position", "mode"):
+        with pytest.raises(ConfigError, match=f"^unknown key '{key}'$"):
+            resolve_config("purify", {key: 1, "fidelity": 0.8}, None)
 
 
 def test_run_purify_exact_row():
