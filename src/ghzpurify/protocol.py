@@ -14,10 +14,22 @@ surviving 2n-mode state is lifted back to a logic Bell pair by the inverse of
 the reduction. Every state on the way has a handful of nonzero amplitudes,
 and the engine's cost follows them, not 2^(2n); each gate layer is one
 kernel call. These three stages are prepare_copy, compare_copies and
-lift_kept; purify_pair runs them on two copies of one pair, and round_table
-once per branch pair for the outcome law that the Monte Carlo sampler reads.
-Each stage reads the logic qubits from its input's register: the first n
-modes are A, the last n are B.
+lift_kept. Each stage reads the logic qubits from its input's register: the
+first n modes are A, the last n are B.
+
+No weight enters a round before c1 and d1 are measured, so purify_pair
+stages the copies once per distinct pair: the preparation, the drop of the
+second copy's ancillas, the tensor and the bilateral CNOT of every branch
+pair are cached (_staged). The key is the pair's branch states as register
+labels plus idx and vals bytes, the key lift_kept merges on. The cache holds
+STAGED_MAX pairs and drops the least recently used; a sweep's canonical
+pairs need three per (n, basis). Every call builds the key; a miss also runs
+the staging that every round ran before, so a one-round purify in a fresh
+process costs one key build more than it did. The measurement, post-selection
+and lift run per call with the pair's weights in tensor_ensembles order, so
+every float is the one the uncached stages give. round_table reads the same
+staged states, once per branch pair, for the outcome law that the Monte
+Carlo sampler reads.
 
 Bit-type errors (psi+ admixtures) purify directly. Phase-type errors (phi-
 admixtures) are first converted to bit type by Hadamards on the kept modes
@@ -31,6 +43,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -53,7 +66,8 @@ from .states import (
     fidelity,
     make_logic_bell,
     map_branches,
-    tensor_ensembles,
+    shared_register,
+    tensor,
     with_labels,
 )
 
@@ -63,6 +77,11 @@ SACRIFICED = ("c1", "d1")
 KEPT_OUTCOMES = ((0, 0), (1, 1))
 # whether outcome o = 2*o1 + o2 keeps its run
 KEEP_MASK = tuple(key in KEPT_OUTCOMES for key in np.ndindex(2, 2))
+# distinct pairs whose staged copies stay cached; a sweep's canonical pairs
+# need three per (n, basis), 60 in all for n = 2..11
+STAGED_MAX = 128
+# a state's content, which decides its equality: labels, idx bytes, vals bytes
+_Content = tuple[tuple[str, ...], bytes, bytes]
 
 
 def _logic_modes(pair: PureState | Ensemble) -> tuple[tuple[str, ...], ...]:
@@ -119,19 +138,13 @@ def recover_logic(e: Ensemble) -> Ensemble:
     return map_branches(e, lift)
 
 
-def bennett_step(
-    e: Ensemble, kept_pair: tuple[str, str]
-) -> dict[tuple[int, ...], tuple[float, Ensemble]]:
-    """Bilateral CNOT from the kept Bell pair onto the SACRIFICED one, then
-    measurement of the sacrificed modes.
-
-    Returns the outcome map of measure_ensemble keyed by (alice, bob) bits.
-    """
+def bennett_step(s: PureState, kept_pair: tuple[str, str]) -> PureState:
+    """Bilateral CNOT from the kept Bell pair onto the SACRIFICED one."""
     if len(set(kept_pair) | set(SACRIFICED)) != 4:
         raise RegisterError("kept and sacrificed pairs must use four distinct modes")
-    groups = [(control, (target,)) for control, target in zip(kept_pair, SACRIFICED)]
-    e = map_branches(e, lambda s: apply_fan_outs(s, *groups))
-    return measure_ensemble(e, list(SACRIFICED))
+    return apply_fan_outs(
+        s, *((control, (target,)) for control, target in zip(kept_pair, SACRIFICED))
+    )
 
 
 def postselect_equal(
@@ -215,41 +228,82 @@ def prepare_copy(s: PureState, basis: str) -> PureState:
     return s
 
 
+def _content(s: PureState) -> _Content:
+    return s.register.labels, s.idx.tobytes(), s.vals.tobytes()
+
+
+def _join(first: PureState, second: PureState) -> PureState:
+    """Two prepared copies before the sacrificed pair is measured.
+
+    Only the second copy's two first modes join, relabelled (c1, d1) after
+    the first copy's register; its ancillas are |0> after preparation and
+    are dropped. The first copy's two first modes then run bennett_step.
+    """
+    a, b = _logic_modes(first)
+    second = with_labels(discard(second, a[1:] + b[1:]), SACRIFICED)
+    return bennett_step(tensor(first, second), (a[0], b[0]))
+
+
+def _measure_joined(
+    first: Ensemble, second: Ensemble, joined: Sequence[PureState]
+) -> dict[tuple[int, ...], tuple[float, Ensemble]]:
+    """Measure c1 and d1 on the joined copies, one per branch pair in
+    tensor_ensembles order, each weighted as tensor_ensembles weights it."""
+    weights = (w1 * w2 for w1, _ in first.branches for w2, _ in second.branches)
+    return measure_ensemble(Ensemble(tuple(zip(weights, joined))), list(SACRIFICED))
+
+
 def compare_copies(
     first: Ensemble, second: Ensemble
 ) -> dict[tuple[int, ...], tuple[float, Ensemble]]:
-    """Bennett comparison of two prepared copies, on the first copy's register.
-
-    Only the second copy's two first modes join, relabelled (c1, d1); its
-    ancillas are |0> after preparation and are dropped.
-    """
-    a, b = _logic_modes(first)
-    second = map_branches(
-        second, lambda s: with_labels(discard(s, a[1:] + b[1:]), SACRIFICED)
-    )
-    return bennett_step(tensor_ensembles(first, second), (a[0], b[0]))
+    """Bennett comparison of two prepared copies, on the first copy's register."""
+    joined = [_join(s1, s2) for _, s1 in first.branches for _, s2 in second.branches]
+    return _measure_joined(first, second, joined)
 
 
 def lift_kept(kept: Ensemble) -> tuple[Ensemble, float]:
     """Drop c1 and d1, recover the logic pair, and give its fidelity to phi+.
     Equal states are merged first, their weights summed, and lifted once."""
-    merged: dict[tuple[bytes, bytes], list] = {}
+    merged: dict[_Content, list] = {}
     for w, s in kept.branches:
         s = discard(s, SACRIFICED)
-        merged.setdefault((s.idx.tobytes(), s.vals.tobytes()), [0.0, s])[0] += w
+        merged.setdefault(_content(s), [0.0, s])[0] += w
     kept = recover_logic(Ensemble(tuple((w, s) for w, s in merged.values())))
     n = kept.register.n_qubits // 2
     return kept, fidelity(kept, make_logic_bell(n, "phi+"))
+
+
+@functools.lru_cache(maxsize=STAGED_MAX)
+def _staged(contents: tuple[_Content, ...], basis: str) -> tuple[PureState, ...]:
+    """Two prepared copies of the pair whose branch states have these
+    _content keys, joined, one state per branch pair in tensor_ensembles
+    order. No weight enters, so pairs that differ only in weights share them."""
+    prepared = [
+        prepare_copy(
+            PureState._adopt(
+                shared_register(labels),
+                np.frombuffer(idx, dtype=np.uint64),
+                np.frombuffer(vals, dtype=np.complex128),
+            ),
+            basis,
+        )
+        for labels, idx, vals in contents
+    ]
+    return tuple(_join(s1, s2) for s1 in prepared for s2 in prepared)
+
+
+def _staged_copies(pair: Ensemble, basis: str) -> tuple[PureState, ...]:
+    return _staged(tuple(_content(s) for _, s in pair.branches), basis)
 
 
 def purify_pair(pair: Ensemble, basis: str) -> ProtocolOutcome:
     """One round on two identical copies of `pair`, whose logic qubits are
     read from its register. With q the chance that one prepared copy reads
     equal bits on its two first modes, the copies' outcomes agree with
-    probability q^2 + (1 - q)^2 >= 1/2, so a round always keeps a branch."""
-    first = map_branches(pair, lambda s: prepare_copy(s, basis))
-    # The second copy is the same ensemble, so its preparation is the first's.
-    p, kept = postselect_equal(compare_copies(first, first))
+    probability q^2 + (1 - q)^2 >= 1/2, so a round always keeps a branch.
+    Only the steps from the measurement on run per call; see _staged."""
+    outcomes = _measure_joined(pair, pair, _staged_copies(pair, basis))
+    p, kept = postselect_equal(outcomes)
     kept, fid = lift_kept(kept)
     return ProtocolOutcome(p, kept, fid)
 
@@ -258,17 +312,16 @@ def purify_pair(pair: Ensemble, basis: str) -> ProtocolOutcome:
 def round_table(n: int, basis: str) -> tuple[np.ndarray, np.ndarray]:
     """A round's outcome law as two read-only 4 x 4 arrays, cached per (n, basis):
     probs[b, o], the chance of sacrificed outcome o = 2*o1 + o2 on branch pair
-    b = 2*s1 + s2 (s = 0 clean, 1 errored), from one compare_copies run on the
-    two prepared copies, and fid[b, o], the fidelity lift_kept gives a kept
+    b = 2*s1 + s2 (s = 0 clean, 1 errored), from the two copies staged as
+    purify_pair stages them, and fid[b, o], the fidelity lift_kept gives a kept
     outcome (0 where KEEP_MASK[o] is false). By the reduction neither depends on n.
     """
-    prepared = [
-        map_branches(canonical_pair(n, basis, f), lambda s: prepare_copy(s, basis))
-        for f in (1.0, 0.0)
-    ]
+    # strictly between 0 and 1 the canonical pair holds both branches, clean
+    # first, so its staged states are the four branch pairs in order b
+    staged = _staged_copies(canonical_pair(n, basis, 0.5), basis)
     probs, fid = np.zeros((4, 4)), np.zeros((4, 4))
-    for b in range(4):
-        outcomes = compare_copies(prepared[b // 2], prepared[b % 2])
+    for b, joined in enumerate(staged):
+        outcomes = measure_ensemble(Ensemble.pure(joined), list(SACRIFICED))
         for o, key in enumerate(np.ndindex(2, 2)):
             if key in outcomes:
                 probs[b, o], kept = outcomes[key]

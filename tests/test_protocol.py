@@ -6,12 +6,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ghzpurify.errors import RegisterError, UnsupportedInputError
-from ghzpurify.gates import OUTCOME_EPS, apply_h, apply_x, discard, outcome_probability
+from ghzpurify.gates import (
+    OUTCOME_EPS,
+    apply_h,
+    apply_x,
+    discard,
+    measure_ensemble,
+    outcome_probability,
+)
 from ghzpurify.noise import ErrorKind, ErrorModel, apply_error_model
 from ghzpurify.protocol import (
     BASES,
     SACRIFICED,
     PurifyConfig,
+    _staged,
+    _staged_copies,
     bennett_step,
     canonical_pair,
     compare_copies,
@@ -37,6 +46,7 @@ from ghzpurify.states import (
     Register,
     basis_state,
     fidelity,
+    logic_register,
     make_bell,
     make_logic_bell,
     map_branches,
@@ -140,6 +150,11 @@ BENNETT_CASES = {
 }
 
 
+def _bennett_outcomes(system, kept_pair):
+    cnot = map_branches(system, lambda s: bennett_step(s, kept_pair))
+    return measure_ensemble(cnot, list(SACRIFICED))
+
+
 @pytest.mark.parametrize("case", sorted(BENNETT_CASES))
 def test_bennett_outcome_statistics(case):
     k1, k2 = case
@@ -147,7 +162,7 @@ def test_bennett_outcome_statistics(case):
     system = Ensemble.pure(
         tensor(make_bell(k1, ("a1", "b1")), make_bell(k2, ("c1", "d1")))
     )
-    outcomes = bennett_step(system, ("a1", "b1"))
+    outcomes = _bennett_outcomes(system, ("a1", "b1"))
     # the sacrificed pair ends up phi+ or psi+: equal outcomes for phi+,
     # unequal for psi+, each side 1/2
     expect_equal = w2 == "phi+"
@@ -169,9 +184,7 @@ def _strip_sacrificed(s, keep):
 
 
 def test_bennett_rejects_shared_labels():
-    system = Ensemble.pure(
-        tensor(make_bell("phi+", ("a1", "b1")), make_bell("phi+", ("c1", "d1")))
-    )
+    system = tensor(make_bell("phi+", ("a1", "b1")), make_bell("phi+", ("c1", "d1")))
     with pytest.raises(RegisterError):
         bennett_step(system, ("a1", "c1"))
 
@@ -180,7 +193,7 @@ def test_postselect_equal_merges_and_renormalizes():
     system = Ensemble.pure(
         tensor(make_bell("phi+", ("a1", "b1")), make_bell("phi+", ("c1", "d1")))
     )
-    outcomes = bennett_step(system, ("a1", "b1"))
+    outcomes = _bennett_outcomes(system, ("a1", "b1"))
     p, kept = postselect_equal(outcomes)
     assert p == pytest.approx(1.0)
     assert kept.weight_sum == pytest.approx(1.0)
@@ -192,7 +205,7 @@ def test_postselect_equal_impossible():
     )
     # kept pair psi+, sacrificed psi+: outcomes always differ, and a round
     # that keeps nothing raises, as an empty Ensemble does
-    outcomes = bennett_step(system, ("a1", "b1"))
+    outcomes = _bennett_outcomes(system, ("a1", "b1"))
     with pytest.raises(ValueError, match="at least one branch"):
         postselect_equal(outcomes)
 
@@ -349,6 +362,53 @@ def test_exact_round_does_not_depend_on_n(n, basis):
         assert got.success_probability == want.success_probability, f
 
 
+def _composed(pair, basis):
+    """purify_pair spelled out stage by stage, with nothing cached."""
+    first = map_branches(pair, lambda s: prepare_copy(s, basis))
+    p, kept = postselect_equal(compare_copies(first, first))
+    kept, fid = lift_kept(kept)
+    return p, kept, fid
+
+
+def _assert_same_round(out, composed):
+    p, kept, fid = composed
+    assert out.fidelity == fid and out.success_probability == p
+    assert len(out.output.branches) == len(kept.branches)
+    for (w, s), (w_want, want) in zip(out.output.branches, kept.branches):
+        assert w == w_want and s.register == want.register
+        assert s.idx.tobytes() == want.idx.tobytes()
+        assert s.vals.tobytes() == want.vals.tobytes()
+
+
+# purify_pair stages its two copies once per distinct pair; the cached states
+# must give every float the stage-by-stage composition gives, cold and warm
+@pytest.mark.parametrize("n", range(2, 12))
+@pytest.mark.parametrize("basis", BASES)
+def test_purify_pair_matches_stage_by_stage_composition(n, basis):
+    for f in (0.0, 5e-324, 2.0**-537, 0.3, 0.5, 0.8, 1.0 - 2.0**-53, 1.0):
+        pair = canonical_pair(n, basis, f)
+        want = _composed(pair, basis)
+        _staged.cache_clear()
+        _assert_same_round(purify_pair(pair, basis), want)
+        _assert_same_round(purify_pair(pair, basis), want)
+
+
+def test_staged_copies_follow_the_pair_register():
+    pair = canonical_pair(2, "bit", 0.8)
+    labels = ("x1", "x2", "y1", "y2")
+    foreign = map_branches(pair, lambda s: with_labels(s, labels))
+    purify_pair(pair, "bit")
+    for own, other in zip(_staged_copies(pair, "bit"), _staged_copies(foreign, "bit")):
+        assert own.register.labels == logic_register(2).labels + SACRIFICED
+        assert other.register.labels == labels + SACRIFICED
+        assert own.idx.tobytes() == other.idx.tobytes()
+        assert own.vals.tobytes() == other.vals.tobytes()
+    # the foreign pair's round runs on its own register, which is not the
+    # logic register that its fidelity target lives on
+    with pytest.raises(RegisterError):
+        purify_pair(foreign, "bit")
+
+
 def test_round_table_is_cached_and_read_only():
     tables = round_table(3, "phase")
     assert round_table(3, "phase") is tables
@@ -410,8 +470,12 @@ def test_run_single_round_register_check():
 @pytest.mark.parametrize("gate", [apply_h, apply_x], ids=["h", "x"])
 def test_round_rejects_dirty_ancilla_input(gate):
     pair = Ensemble.pure(gate(make_logic_bell(3, "phi+"), "a2"))
-    with pytest.raises(UnsupportedInputError, match="mode 'a2' is not in"):
-        purify_pair(pair, "bit")
+    size = _staged.cache_info().currsize
+    # a raise is never cached, so the second call raises as well
+    for _ in range(2):
+        with pytest.raises(UnsupportedInputError, match="mode 'a2' is not in"):
+            purify_pair(pair, "bit")
+    assert _staged.cache_info().currsize == size
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -538,6 +602,7 @@ def test_purify_pair_keeps_at_least_half_of_any_bell_mixture(n, basis, weights):
     out = purify_pair(pair, basis)
     assert out.success_probability >= 0.5 - EXACT_TOL
     assert 0.0 <= out.fidelity <= 1.0 + EXACT_TOL
+    _assert_same_round(out, _composed(pair, basis))
 
 
 def test_purify_config_validation():
