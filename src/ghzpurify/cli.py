@@ -15,7 +15,6 @@ from __future__ import annotations
 import sys
 import time
 from dataclasses import asdict
-from importlib import metadata
 
 import click
 
@@ -31,7 +30,6 @@ from .harness import (
     run_sweep,
     write_results,
 )
-from .verify import run_verify
 
 
 def _options(mode: str):
@@ -78,9 +76,12 @@ def _show_version(ctx: click.Context, _param: click.Parameter, value: bool) -> N
     """Print the installed version; a source tree has none to read."""
     if not value or ctx.resilient_parsing:
         return
+    # imported here, as only --version pays for it
+    import importlib.metadata
+
     try:
-        version = metadata.version("ghzpurify")
-    except metadata.PackageNotFoundError:
+        version = importlib.metadata.version("ghzpurify")
+    except importlib.metadata.PackageNotFoundError:
         version = "unknown (ghzpurify is not installed)"
     click.echo(f"{ctx.find_root().info_name}, version {version}")
     ctx.exit()
@@ -123,6 +124,9 @@ def correct(config_path, **flags) -> None:
                    " (every n up to 5).")
 def verify(max_n: int, oracle: bool) -> None:
     """Run the internal invariant checks and report PASS/FAIL per check."""
+    # imported here, so that the other commands do not load the dense oracle
+    from .verify import run_verify
+
     started = time.perf_counter()
     try:
         results = run_verify(max_n=max_n, oracle=oracle)

@@ -315,6 +315,36 @@ def test_numpy_random_loads_only_for_sampled_rounds():
     assert out.stdout.split() == ["False", "True"]
 
 
+_FRONT_END_LOADED = """
+import sys
+from click.testing import CliRunner
+from ghzpurify.cli import main
+
+for args in (
+    ["purify", "--n", "2", "--fidelity", "0.8"],
+    ["sweep", "--n", "3", "--f-min", "0", "--f-max", "1", "--steps", "3"],
+    ["correct", "--n", "3", "--flip-position", "2"],
+):
+    assert CliRunner().invoke(main, args).exit_code == 0, args
+print(*(m in sys.modules for m in ("ghzpurify.verify", "ghzpurify.oracle", "importlib.metadata")))
+assert CliRunner().invoke(main, ["verify", "--n", "2"]).exit_code == 0
+assert CliRunner().invoke(main, ["--version"]).exit_code == 0
+print(*(m in sys.modules for m in ("ghzpurify.verify", "ghzpurify.oracle", "importlib.metadata")))
+"""
+
+
+def test_only_verify_and_version_load_their_modules():
+    # purify, sweep and correct leave out verify with its dense oracle, and
+    # importlib.metadata, which only --version reads
+    src = str(Path(ghzpurify.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-c", _FRONT_END_LOADED], env=env, capture_output=True, text=True
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["False"] * 3 + ["True"] * 3
+
+
 def test_config_file_with_flag_override(runner, tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("fidelity = 0.7\nn = 2\nrounds = 1\n")

@@ -271,6 +271,56 @@ def test_oracle_agrees_with_kron_staging(n, basis):
         assert np.max(np.abs(dm.matrix - ref)) <= ORACLE_TOL
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_head_pass_equals_four_h_axis_calls(n):
+    # random complex coarse arrays: a1, a2..an, b1, b2..bn, ket then bra
+    rng = np.random.default_rng(317 + n)
+    shape = (2, 2 ** (n - 1)) * 4
+    t = rng.uniform(-1, 1, shape) + 1j * rng.uniform(-1, 1, shape)
+    got = oracle._h_heads(t.transpose(oracle._HEADS_FIRST).reshape(16, -1))
+    for axis in (0, 2, 4, 6):
+        oracle._h_axis(t, axis)
+    expected = t.transpose(oracle._HEADS_FIRST).reshape(16, -1)
+    # each path rounds on its own: the bound is relative to the largest entry
+    assert np.max(np.abs(got - expected)) <= 1e-15 * np.max(np.abs(expected))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_head_maps_are_read_only_and_equal_a_fresh_rebuild(n):
+    cached = oracle._head_maps(n)
+    assert oracle._head_maps(n) is cached
+    dim = 4**n
+    for got, fresh, shape in zip(
+        cached, oracle._head_maps.__wrapped__(n), [(16, dim * dim // 16), (dim, dim)]
+    ):
+        assert not got.flags.writeable
+        assert got.dtype == np.int32 and got.shape == shape
+        assert np.array_equal(got, fresh)
+        # a gather map reads every entry exactly once
+        assert np.array_equal(np.sort(got, axis=None), np.arange(dim * dim))
+        with pytest.raises(ValueError):
+            got[0, 0] = 0
+    # the fan-outs are their own inverse, so the way back undoes the way in
+    into, back = cached
+    assert np.array_equal(back.ravel()[into.ravel()], np.arange(dim * dim))
+
+
+def test_oracle_round_is_the_same_cold_and_warm():
+    cases = [
+        (2, "bit", 0.3), (3, "phase", 0.8), (4, "bit", 0.95), (5, "phase", 0.68),
+        (2, "phase", 0.5), (3, "bit", 0.0), (4, "phase", 1.0), (5, "bit", 0.8),
+    ]
+    cold = []
+    for case in cases:
+        oracle._head_maps.cache_clear()
+        cold.append(oracle_purify_round(*case))
+    warm = {case: oracle_purify_round(*case) for case in reversed(cases)}
+    for case, (p, fid, dm) in zip(cases, cold):
+        p_warm, fid_warm, dm_warm = warm[case]
+        assert (p, fid) == (p_warm, fid_warm)
+        assert np.array_equal(dm.matrix, dm_warm.matrix)
+
+
 @pytest.mark.parametrize("basis", ["bit", "phase"])
 def test_oracle_rejects_dirty_ancilla(monkeypatch, basis):
     # a physical bit flip on any ancilla leaves it in |1> after the reduction
