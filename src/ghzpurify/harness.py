@@ -12,14 +12,10 @@ one shot as a generator of its own, and its draws past the third run into
 the next shot's block. A branch draw compares the shot's uniform with f: a
 uniform below f draws the clean state. Exact and sampled rows run one loop,
 where every round starts from protocol's canonical pair at its input
-fidelity. purify_pair runs that pair exactly. It stages the pair's two
-copies once per distinct set of branch states, keyed by their labels and idx
-and vals bytes, with at most protocol.STAGED_MAX pairs cached; a miss costs
-the staging on top of the key build, and each row measures the staged
-copies with its own weights. Each shot looks its outcome up in
-protocol.round_table, the outcome law of the same staged copies. The
-wall_time_ms column reads 0 for byte-reproducible files; timing goes to
-stderr.
+fidelity. purify_pair runs that pair exactly, and each shot looks its
+outcome up in protocol.round_table; protocol's module docstring says how
+both stage a round's copies. The wall_time_ms column reads 0 for
+byte-reproducible files; timing goes to stderr.
 """
 
 from __future__ import annotations
@@ -37,12 +33,13 @@ from .noise import ERROR_ALIASES, ErrorKind, ErrorModel, apply_error_model
 from .protocol import (
     KEEP_MASK,
     canonical_pair,
+    check_block_size,
     correct_physical_bitflip,
     purify_pair,
     round_bases,
     round_table,
 )
-from .states import MAX_QUBITS, Ensemble, make_logic_bell
+from .states import Ensemble, make_logic_bell
 
 # Philox4x64-10 (Salmon et al., SC'11) as numpy's Philox runs it: the seed
 # fills the two key words and the stream the top two counter words, so both
@@ -151,14 +148,7 @@ class ExperimentConfig:
     def validate(self) -> None:
         if self.mode not in _MODES:
             raise ConfigError(f"unknown mode {self.mode!r}")
-        if self.n < 2:
-            raise ConfigError(f"n must be at least 2, got {self.n}")
-        qubits = 2 * self.n + (0 if self.mode == "correct" else 2)
-        if qubits > MAX_QUBITS:
-            raise ConfigError(
-                f"{self.mode} at n={self.n} needs {qubits} qubits;"
-                f" registers are capped at {MAX_QUBITS}"
-            )
+        check_block_size(self.mode, self.n)
         if self.rounds < 1:
             raise ConfigError(f"rounds must be at least 1, got {self.rounds}")
         if self.shots < 0:

@@ -47,7 +47,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import RegisterError, UnsupportedInputError
+from .errors import ConfigError, RegisterError, UnsupportedInputError
 from .gates import (
     OUTCOME_EPS,
     apply_cnot,
@@ -61,6 +61,7 @@ from .gates import (
 )
 from .noise import ErrorKind, ErrorModel, apply_error_model
 from .states import (
+    MAX_QUBITS,
     Ensemble,
     PureState,
     fidelity,
@@ -82,6 +83,22 @@ KEEP_MASK = tuple(key in KEPT_OUTCOMES for key in np.ndindex(2, 2))
 STAGED_MAX = 128
 # a state's content, which decides its equality: labels, idx bytes, vals bytes
 _Content = tuple[tuple[str, ...], bytes, bytes]
+
+
+def register_width(command: str, n: int) -> int:
+    """Qubits `command` holds at block size n: 2n, plus c1 and d1 in a round (purify, sweep)."""
+    return 2 * n + {"purify": 2, "sweep": 2, "correct": 0, "verify": 0}[command]
+
+
+def check_block_size(command: str, n: int) -> None:
+    """Refuse, with ConfigError, an n below 2 or a register_width past MAX_QUBITS."""
+    if n < 2:
+        raise ConfigError(f"n must be at least 2, got {n}")
+    width = register_width(command, n)
+    if width > MAX_QUBITS:
+        raise ConfigError(
+            f"{command} at n={n} needs {width} qubits; registers are capped at {MAX_QUBITS}"
+        )
 
 
 def _logic_modes(pair: PureState | Ensemble) -> tuple[tuple[str, ...], ...]:

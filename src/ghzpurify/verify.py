@@ -21,6 +21,7 @@ from .oracle import ORACLE_MAX_N, compare, oracle_purify_round
 from .protocol import (
     BASES,
     PurifyConfig,
+    check_block_size,
     correct_physical_bitflip,
     iterate_rounds,
     one_round_fidelity_map,
@@ -28,6 +29,7 @@ from .protocol import (
     purify_round,
     recover_logic,
     reduce_copy,
+    register_width,
     round_table,
 )
 from .states import (
@@ -182,8 +184,8 @@ def check_bennett_maps(ns: tuple[int, ...]) -> Iterator[float]:
 
 
 def _round_ns(ns: tuple[int, ...]) -> list[int]:
-    """The n in ns whose 2n + 2 round qubits fit under MAX_QUBITS."""
-    return [k for k in ns if 2 * k + 2 <= MAX_QUBITS]
+    """The n in ns whose round's register_width fits under MAX_QUBITS."""
+    return [k for k in ns if register_width("purify", k) <= MAX_QUBITS]
 
 
 @_check("purify_map_grid", EXACT_TOL)
@@ -316,18 +318,9 @@ CHECK_FUNCS: list[Check] = [
 
 
 def run_verify(max_n: int = 3, oracle: bool = False) -> list[CheckResult]:
-    """Run every check for n = 2 .. max_n; oracle adds the dense cross-check.
-
-    A max_n whose 2n-qubit pairs exceed the register cap is refused before
-    any check runs.
-    """
-    if max_n < 2:
-        raise ValueError("max_n must be at least 2")
-    if 2 * max_n > MAX_QUBITS:
-        raise ValueError(
-            f"verify at n={max_n} needs {2 * max_n} qubits;"
-            f" registers are capped at {MAX_QUBITS}"
-        )
+    """Run every check for n = 2 .. max_n once check_block_size accepts
+    max_n; oracle adds the dense cross-check."""
+    check_block_size("verify", max_n)
     ns = tuple(range(2, max_n + 1))
     results = [func(ns) for func in CHECK_FUNCS]
     if oracle:

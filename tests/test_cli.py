@@ -16,6 +16,8 @@ import ghzpurify.verify
 from ghzpurify.cli import main
 from ghzpurify.harness import CONFIG_KEYS, CSV_COLUMNS, ERROR_ALIASES, ExperimentConfig
 from ghzpurify.noise import ErrorKind
+from ghzpurify.protocol import register_width
+from ghzpurify.states import MAX_QUBITS
 from ghzpurify.verify import CheckResult
 
 
@@ -175,11 +177,32 @@ def test_oversize_block_refused_before_any_state_is_built(
     assert f"{message}; registers are capped at 24" in result.stderr
 
 
-def test_largest_blocks_pass_the_size_check():
-    ExperimentConfig(mode="purify", n=11, fidelity=0.8).validate()
-    ExperimentConfig(
-        mode="correct", n=12, error=ErrorKind.PHYS_BITFLIP, flip_position=2
-    ).validate()
+@pytest.mark.parametrize(
+    "command, n, accept",
+    [
+        ("purify", 11, lambda n: ExperimentConfig(mode="purify", n=n, fidelity=0.8).validate()),
+        (
+            "sweep", 11,
+            lambda n: ExperimentConfig(
+                mode="sweep", n=n, f_min=0.6, f_max=0.8, steps=2
+            ).validate(),
+        ),
+        (
+            "correct", 12,
+            lambda n: ExperimentConfig(
+                mode="correct", n=n, error=ErrorKind.PHYS_BITFLIP, flip_position=2
+            ).validate(),
+        ),
+        ("verify", 12, lambda n: ghzpurify.verify.run_verify(max_n=n)),
+    ],
+    ids=["purify", "sweep", "correct", "verify"],
+)
+def test_largest_blocks_pass_the_size_check(monkeypatch, command, n, accept):
+    # n fills the register cap, so n + 1 is refused as the test above shows
+    assert register_width(command, n) == MAX_QUBITS
+    # with no check to run, run_verify runs its size check alone
+    monkeypatch.setattr(ghzpurify.verify, "CHECK_FUNCS", [])
+    accept(n)
 
 
 def test_correct_position_out_of_range_exits_2(runner):

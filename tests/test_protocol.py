@@ -1,4 +1,6 @@
 import itertools
+import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from ghzpurify.gates import (
     measure_ensemble,
     outcome_probability,
 )
+from ghzpurify.harness import ExperimentConfig, run_sweep
 from ghzpurify.noise import ErrorKind, ErrorModel, apply_error_model
 from ghzpurify.protocol import (
     BASES,
@@ -35,12 +38,14 @@ from ghzpurify.protocol import (
     purify_round,
     recover_logic,
     reduce_copy,
+    register_width,
     round_bases,
     round_table,
 )
 from ghzpurify.states import (
     BELL_KINDS,
     EXACT_TOL,
+    MAX_QUBITS,
     Ensemble,
     PureState,
     Register,
@@ -341,6 +346,51 @@ def test_round_floats_match_pinned_hex(basis, f):
         outs = iterate_rounds(PurifyConfig(n=n, error_basis=basis, input_fidelity=f, rounds=3))
         got = tuple((o.fidelity.hex(), o.success_probability.hex()) for o in outs)
         assert got == ROUND_HEX[basis, f], n
+
+
+# every n whose round fits the register cap
+ROUND_NS = list(
+    itertools.takewhile(lambda n: register_width("purify", n) <= MAX_QUBITS, itertools.count(2))
+)
+# Exact rows lie within ROW_ULPS of the correctly rounded closed forms. Over
+# 5000 input fidelities from 5e-324 to 1, at n = 2 in both bases, the largest
+# deviation was 8 ulps (fidelity) and 9 (success probability); a round's
+# floats do not depend on n (test_exact_round_does_not_depend_on_n).
+ROW_ULPS = 9
+ULP_GRID = [
+    0.0, 5e-324, 2.0**-537, 1e-300, math.nextafter(0.5, 0.0), 0.5, math.nextafter(0.5, 1.0),
+    1.0 - 2.0**-53, 1.0, *np.random.default_rng(15).random(5).tolist(),
+]
+
+
+def _closed_forms(f: float) -> tuple[float, float]:
+    """F^2 / s and s = F^2 + (1 - F)^2 in exact rationals, each rounded once."""
+    exact = Fraction(f)
+    success = exact**2 + (1 - exact) ** 2
+    return float(exact**2 / success), float(success)
+
+
+def _ulps(got: float, want: float) -> float:
+    """|got - want| in units of math.ulp of the larger magnitude."""
+    return float(abs(Fraction(got) - Fraction(want)) / Fraction(math.ulp(max(got, want))))
+
+
+@pytest.mark.parametrize("basis", BASES)
+def test_exact_rows_lie_within_row_ulps_of_the_exact_closed_forms(basis):
+    kind = ErrorKind.LOGIC_BITFLIP if basis == "bit" else ErrorKind.LOGIC_PHASEFLIP
+    for n, f in itertools.product(ROUND_NS, ULP_GRID):
+        out = purify_pair(canonical_pair(n, basis, f), basis)
+        rows = run_sweep(
+            ExperimentConfig(mode="sweep", n=n, error=kind, f_min=f, f_max=f, steps=1, rounds=2)
+        )
+        # each row, round 2 included, is checked against its own float input
+        for f_in, fid, p in [
+            (f, out.fidelity, out.success_probability),
+            *((r.input_fidelity, r.output_fidelity, r.success_probability) for r in rows),
+        ]:
+            want_fid, want_p = _closed_forms(f_in)
+            assert _ulps(fid, want_fid) <= ROW_ULPS, (n, f_in, fid.hex())
+            assert _ulps(p, want_p) <= ROW_ULPS, (n, f_in, p.hex())
 
 
 # the paper's reduction: after the fan-out a logic pair purifies as the
