@@ -12,9 +12,9 @@ one shot as a generator of its own, and its draws past the third run into
 the next shot's block. A branch draw compares the shot's uniform with f: a
 uniform below f draws the clean state. Exact and sampled rows run one loop,
 where every round starts from protocol's canonical pair at its input
-fidelity. purify_pair runs that pair exactly, and each shot looks its
-outcome up in protocol.round_table; protocol's module docstring says how
-both stage a round's copies. The wall_time_ms column reads 0 for
+fidelity. protocol.canonical_round runs that pair exactly, and each shot
+looks its outcome up in protocol.round_table; both read the copies that
+protocol stages once per (n, basis). The wall_time_ms column reads 0 for
 byte-reproducible files; timing goes to stderr.
 """
 
@@ -32,10 +32,9 @@ from .errors import ConfigError
 from .noise import ERROR_ALIASES, ErrorKind, ErrorModel, apply_error_model
 from .protocol import (
     KEEP_MASK,
-    canonical_pair,
+    canonical_round,
     check_block_size,
     correct_physical_bitflip,
-    purify_pair,
     round_bases,
     round_table,
 )
@@ -371,7 +370,7 @@ def _sweep_rows(cfg: ExperimentConfig, grid: list[float]) -> list[ResultRow]:
     for i, f in enumerate(grid):
         for r, basis in enumerate(round_bases(cfg.error.basis, cfg.rounds)):
             if cfg.shots == 0:
-                out = purify_pair(canonical_pair(cfg.n, basis, f), basis)
+                out = canonical_round(cfg.n, basis, f)
             else:
                 out = sample_purify(cfg.n, basis, f, cfg.shots, cfg.seed, i * cfg.rounds + r)
             rows.append(_row(cfg, r + 1, f, out.fidelity, out.success_probability, cfg.shots))

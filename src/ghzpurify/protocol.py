@@ -17,19 +17,17 @@ kernel call. These three stages are prepare_copy, compare_copies and
 lift_kept. Each stage reads the logic qubits from its input's register: the
 first n modes are A, the last n are B.
 
-No weight enters a round before c1 and d1 are measured, so purify_pair
-stages the copies once per distinct pair: the preparation, the drop of the
-second copy's ancillas, the tensor and the bilateral CNOT of every branch
-pair are cached (_staged). The key is the pair's branch states as register
-labels plus idx and vals bytes, the key lift_kept merges on. The cache holds
-STAGED_MAX pairs and drops the least recently used; a sweep's canonical
-pairs need three per (n, basis). Every call builds the key; a miss also runs
-the staging that every round ran before, so a one-round purify in a fresh
-process costs one key build more than it did. The measurement, post-selection
-and lift run per call with the pair's weights in tensor_ensembles order, so
-every float is the one the uncached stages give. round_table reads the same
-staged states, once per branch pair, for the outcome law that the Monte
-Carlo sampler reads.
+Every round the program runs starts from the canonical pair: phi+ with
+weight f, else the basis's logic error on B. No weight enters a round before
+c1 and d1 are measured, so its two copies depend only on (n, basis), and
+_staged prepares and joins them once per (n, basis): the preparation, the
+drop of the second copy's ancillas, the tensor and the bilateral CNOT of
+each of the four branch pairs. canonical_round measures those states at the
+row's weights, the products tensor_ensembles forms, then post-selects and
+lifts, so every float is the one the uncached stages give; a weight that
+underflows to 0 leaves its branch pair out, as Ensemble does. round_table
+reads the same staged states for the outcome law that the Monte Carlo
+sampler reads. purify_pair runs the same stages on any pair, uncached.
 
 Bit-type errors (psi+ admixtures) purify directly. Phase-type errors (phi-
 admixtures) are first converted to bit type by Hadamards on the kept modes
@@ -43,8 +41,6 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Sequence
-
 import numpy as np
 
 from .errors import ConfigError, RegisterError, UnsupportedInputError
@@ -67,7 +63,6 @@ from .states import (
     fidelity,
     make_logic_bell,
     map_branches,
-    shared_register,
     tensor,
     with_labels,
 )
@@ -78,9 +73,6 @@ SACRIFICED = ("c1", "d1")
 KEPT_OUTCOMES = ((0, 0), (1, 1))
 # whether outcome o = 2*o1 + o2 keeps its run
 KEEP_MASK = tuple(key in KEPT_OUTCOMES for key in np.ndindex(2, 2))
-# distinct pairs whose staged copies stay cached; a sweep's canonical pairs
-# need three per (n, basis), 60 in all for n = 2..11
-STAGED_MAX = 128
 # a state's content, which decides its equality: labels, idx bytes, vals bytes
 _Content = tuple[tuple[str, ...], bytes, bytes]
 
@@ -207,8 +199,7 @@ class PurifyConfig:
     rounds: int = 1
 
     def __post_init__(self) -> None:
-        if self.n < 2:
-            raise ValueError(f"n must be at least 2, got {self.n}")
+        check_block_size("purify", self.n)
         if self.error_basis not in BASES:
             raise ValueError(f"error_basis must be one of {BASES}")
         if not 0.0 <= self.input_fidelity <= 1.0:
@@ -261,21 +252,15 @@ def _join(first: PureState, second: PureState) -> PureState:
     return bennett_step(tensor(first, second), (a[0], b[0]))
 
 
-def _measure_joined(
-    first: Ensemble, second: Ensemble, joined: Sequence[PureState]
-) -> dict[tuple[int, ...], tuple[float, Ensemble]]:
-    """Measure c1 and d1 on the joined copies, one per branch pair in
-    tensor_ensembles order, each weighted as tensor_ensembles weights it."""
-    weights = (w1 * w2 for w1, _ in first.branches for w2, _ in second.branches)
-    return measure_ensemble(Ensemble(tuple(zip(weights, joined))), list(SACRIFICED))
-
-
 def compare_copies(
     first: Ensemble, second: Ensemble
 ) -> dict[tuple[int, ...], tuple[float, Ensemble]]:
-    """Bennett comparison of two prepared copies, on the first copy's register."""
-    joined = [_join(s1, s2) for _, s1 in first.branches for _, s2 in second.branches]
-    return _measure_joined(first, second, joined)
+    """Bennett comparison of two prepared copies, on the first copy's register:
+    c1 and d1 measured on every branch pair in tensor_ensembles order and weight."""
+    joined = tuple(
+        (w1 * w2, _join(s1, s2)) for w1, s1 in first.branches for w2, s2 in second.branches
+    )
+    return measure_ensemble(Ensemble(joined), list(SACRIFICED))
 
 
 def lift_kept(kept: Ensemble) -> tuple[Ensemble, float]:
@@ -290,54 +275,53 @@ def lift_kept(kept: Ensemble) -> tuple[Ensemble, float]:
     return kept, fidelity(kept, make_logic_bell(n, "phi+"))
 
 
-@functools.lru_cache(maxsize=STAGED_MAX)
-def _staged(contents: tuple[_Content, ...], basis: str) -> tuple[PureState, ...]:
-    """Two prepared copies of the pair whose branch states have these
-    _content keys, joined, one state per branch pair in tensor_ensembles
-    order. No weight enters, so pairs that differ only in weights share them."""
-    prepared = [
-        prepare_copy(
-            PureState._adopt(
-                shared_register(labels),
-                np.frombuffer(idx, dtype=np.uint64),
-                np.frombuffer(vals, dtype=np.complex128),
-            ),
-            basis,
-        )
-        for labels, idx, vals in contents
-    ]
-    return tuple(_join(s1, s2) for s1 in prepared for s2 in prepared)
-
-
-def _staged_copies(pair: Ensemble, basis: str) -> tuple[PureState, ...]:
-    return _staged(tuple(_content(s) for _, s in pair.branches), basis)
+def _kept_outcome(outcomes: dict[tuple[int, ...], tuple[float, Ensemble]]) -> ProtocolOutcome:
+    p, kept = postselect_equal(outcomes)
+    kept, fid = lift_kept(kept)
+    return ProtocolOutcome(p, kept, fid)
 
 
 def purify_pair(pair: Ensemble, basis: str) -> ProtocolOutcome:
     """One round on two identical copies of `pair`, whose logic qubits are
     read from its register. With q the chance that one prepared copy reads
     equal bits on its two first modes, the copies' outcomes agree with
-    probability q^2 + (1 - q)^2 >= 1/2, so a round always keeps a branch.
-    Only the steps from the measurement on run per call; see _staged."""
-    outcomes = _measure_joined(pair, pair, _staged_copies(pair, basis))
-    p, kept = postselect_equal(outcomes)
-    kept, fid = lift_kept(kept)
-    return ProtocolOutcome(p, kept, fid)
+    probability q^2 + (1 - q)^2 >= 1/2, so a round always keeps a branch."""
+    first = map_branches(pair, lambda s: prepare_copy(s, basis))
+    return _kept_outcome(compare_copies(first, first))
+
+
+@functools.cache
+def _staged(n: int, basis: str) -> tuple[PureState, ...]:
+    """The canonical pair's two copies, prepared and joined, one state per
+    branch pair b = 2*s1 + s2 (s = 0 clean, 1 errored). No weight enters, so
+    every fidelity shares them."""
+    # at f = 1 the canonical pair is the clean state alone, at f = 0 the errored one
+    prepared = [
+        prepare_copy(canonical_pair(n, basis, f).branches[0][1], basis) for f in (1.0, 0.0)
+    ]
+    return tuple(_join(s1, s2) for s1 in prepared for s2 in prepared)
+
+
+def canonical_round(n: int, basis: str, f: float) -> ProtocolOutcome:
+    """purify_pair(canonical_pair(n, basis, f), basis), float for float, with
+    only the measurement, post-selection and lift run per call; see _staged."""
+    if not 0.0 <= f <= 1.0:
+        raise ValueError(f"fidelity must lie in [0, 1], got {f}")
+    weights = (w1 * w2 for w1 in (f, 1.0 - f) for w2 in (f, 1.0 - f))
+    joined = Ensemble(tuple(zip(weights, _staged(n, basis))))
+    return _kept_outcome(measure_ensemble(joined, list(SACRIFICED)))
 
 
 @functools.cache
 def round_table(n: int, basis: str) -> tuple[np.ndarray, np.ndarray]:
     """A round's outcome law as two read-only 4 x 4 arrays, cached per (n, basis):
     probs[b, o], the chance of sacrificed outcome o = 2*o1 + o2 on branch pair
-    b = 2*s1 + s2 (s = 0 clean, 1 errored), from the two copies staged as
-    purify_pair stages them, and fid[b, o], the fidelity lift_kept gives a kept
+    b = 2*s1 + s2 (s = 0 clean, 1 errored), from the copies _staged holds for
+    canonical_round, and fid[b, o], the fidelity lift_kept gives a kept
     outcome (0 where KEEP_MASK[o] is false). By the reduction neither depends on n.
     """
-    # strictly between 0 and 1 the canonical pair holds both branches, clean
-    # first, so its staged states are the four branch pairs in order b
-    staged = _staged_copies(canonical_pair(n, basis, 0.5), basis)
     probs, fid = np.zeros((4, 4)), np.zeros((4, 4))
-    for b, joined in enumerate(staged):
+    for b, joined in enumerate(_staged(n, basis)):
         outcomes = measure_ensemble(Ensemble.pure(joined), list(SACRIFICED))
         for o, key in enumerate(np.ndindex(2, 2)):
             if key in outcomes:
@@ -364,7 +348,7 @@ def iterate_rounds(cfg: PurifyConfig) -> list[ProtocolOutcome]:
     results: list[ProtocolOutcome] = []
     f = cfg.input_fidelity
     for basis in round_bases(cfg.error_basis, cfg.rounds):
-        out = purify_pair(canonical_pair(cfg.n, basis, f), basis)
+        out = canonical_round(cfg.n, basis, f)
         results.append(out)
         f = out.fidelity
     return results

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ghzpurify.errors import RegisterError, UnsupportedInputError
+from ghzpurify.errors import ConfigError, RegisterError, UnsupportedInputError
 from ghzpurify.gates import (
     OUTCOME_EPS,
     apply_h,
@@ -23,9 +23,9 @@ from ghzpurify.protocol import (
     SACRIFICED,
     PurifyConfig,
     _staged,
-    _staged_copies,
     bennett_step,
     canonical_pair,
+    canonical_round,
     compare_copies,
     correct_physical_bitflip,
     iterate_rounds,
@@ -51,7 +51,6 @@ from ghzpurify.states import (
     Register,
     basis_state,
     fidelity,
-    logic_register,
     make_bell,
     make_logic_bell,
     map_branches,
@@ -412,51 +411,27 @@ def test_exact_round_does_not_depend_on_n(n, basis):
         assert got.success_probability == want.success_probability, f
 
 
-def _composed(pair, basis):
-    """purify_pair spelled out stage by stage, with nothing cached."""
-    first = map_branches(pair, lambda s: prepare_copy(s, basis))
-    p, kept = postselect_equal(compare_copies(first, first))
-    kept, fid = lift_kept(kept)
-    return p, kept, fid
+def _assert_same_round(out, want):
+    assert out.fidelity == want.fidelity
+    assert out.success_probability == want.success_probability
+    assert len(out.output.branches) == len(want.output.branches)
+    for (w, s), (w_want, s_want) in zip(out.output.branches, want.output.branches):
+        assert w == w_want and s.register == s_want.register
+        assert s.idx.tobytes() == s_want.idx.tobytes()
+        assert s.vals.tobytes() == s_want.vals.tobytes()
 
 
-def _assert_same_round(out, composed):
-    p, kept, fid = composed
-    assert out.fidelity == fid and out.success_probability == p
-    assert len(out.output.branches) == len(kept.branches)
-    for (w, s), (w_want, want) in zip(out.output.branches, kept.branches):
-        assert w == w_want and s.register == want.register
-        assert s.idx.tobytes() == want.idx.tobytes()
-        assert s.vals.tobytes() == want.vals.tobytes()
-
-
-# purify_pair stages its two copies once per distinct pair; the cached states
-# must give every float the stage-by-stage composition gives, cold and warm
+# canonical_round is purify_pair, the stage-by-stage round, on the canonical
+# pair, with the weight-free staging cached per (n, basis); it must give
+# every float and every output branch the uncached round gives, cold and warm
 @pytest.mark.parametrize("n", range(2, 12))
 @pytest.mark.parametrize("basis", BASES)
 def test_purify_pair_matches_stage_by_stage_composition(n, basis):
     for f in (0.0, 5e-324, 2.0**-537, 0.3, 0.5, 0.8, 1.0 - 2.0**-53, 1.0):
-        pair = canonical_pair(n, basis, f)
-        want = _composed(pair, basis)
+        want = purify_pair(canonical_pair(n, basis, f), basis)
         _staged.cache_clear()
-        _assert_same_round(purify_pair(pair, basis), want)
-        _assert_same_round(purify_pair(pair, basis), want)
-
-
-def test_staged_copies_follow_the_pair_register():
-    pair = canonical_pair(2, "bit", 0.8)
-    labels = ("x1", "x2", "y1", "y2")
-    foreign = map_branches(pair, lambda s: with_labels(s, labels))
-    purify_pair(pair, "bit")
-    for own, other in zip(_staged_copies(pair, "bit"), _staged_copies(foreign, "bit")):
-        assert own.register.labels == logic_register(2).labels + SACRIFICED
-        assert other.register.labels == labels + SACRIFICED
-        assert own.idx.tobytes() == other.idx.tobytes()
-        assert own.vals.tobytes() == other.vals.tobytes()
-    # the foreign pair's round runs on its own register, which is not the
-    # logic register that its fidelity target lives on
-    with pytest.raises(RegisterError):
-        purify_pair(foreign, "bit")
+        _assert_same_round(canonical_round(n, basis, f), want)
+        _assert_same_round(canonical_round(n, basis, f), want)
 
 
 def test_round_table_is_cached_and_read_only():
@@ -634,6 +609,15 @@ def test_prepare_copy_refuses_an_unknown_basis(basis):
         prepare_copy(make_logic_bell(2, "phi+"), basis)
     with pytest.raises(ValueError, match="basis must be one of"):
         canonical_pair(2, basis, 0.8)
+    with pytest.raises(ValueError, match="basis must be one of"):
+        canonical_round(2, basis, 0.8)
+
+
+@pytest.mark.parametrize("f", [-0.1, 1.5, float("nan")])
+def test_canonical_round_refuses_a_fidelity_outside_the_unit_interval(f):
+    for make in (canonical_pair, canonical_round):
+        with pytest.raises(ValueError, match="fidelity must lie in"):
+            make(2, "bit", f)
 
 
 @settings(max_examples=40, deadline=None)
@@ -652,12 +636,15 @@ def test_purify_pair_keeps_at_least_half_of_any_bell_mixture(n, basis, weights):
     out = purify_pair(pair, basis)
     assert out.success_probability >= 0.5 - EXACT_TOL
     assert 0.0 <= out.fidelity <= 1.0 + EXACT_TOL
-    _assert_same_round(out, _composed(pair, basis))
 
 
 def test_purify_config_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="n must be at least 2, got 1"):
         PurifyConfig(n=1, error_basis="bit", input_fidelity=0.8)
+    with pytest.raises(
+        ConfigError, match="purify at n=12 needs 26 qubits; registers are capped at 24"
+    ):
+        PurifyConfig(n=12, error_basis="bit", input_fidelity=0.8)
     with pytest.raises(ValueError):
         PurifyConfig(n=2, error_basis="weird", input_fidelity=0.8)
     with pytest.raises(ValueError):
