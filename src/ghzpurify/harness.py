@@ -1,21 +1,17 @@
 """Experiment harness: configs, parameter sweeps, sampling, CSV output.
 
 Output rows are fully deterministic for a fixed config and seed. Monte Carlo
-randomness is counter-based: shot i of stream s reads block (s << 128) + i + 1
-of the Philox4x64-10 generator keyed by the seed, so every shot's randomness
-is a pure function of (seed, stream, shot) regardless of execution order.
-`sample_purify` reads a call's blocks in shot order from one numpy Philox at
-counter s << 128, which bumps its counter before each block, so seed and
-stream must lie in [0, 2**128). A shot's three uniforms come from words 0-2
-of its block, each (w >> 11) * 2**-53; word 3 goes unused. `shot_rng` gives
-one shot as a generator of its own, and its draws past the third run into
-the next shot's block. A branch draw compares the shot's uniform with f: a
-uniform below f draws the clean state. Exact and sampled rows run one loop,
-where every round starts from protocol's canonical pair at its input
-fidelity. protocol.canonical_round runs that pair exactly, and each shot
-looks its outcome up in protocol.round_table; both read the copies that
-protocol stages once per (n, basis). The wall_time_ms column reads 0 for
-byte-reproducible files; timing goes to stderr.
+randomness is counter-based: shot i of stream s draws the first three doubles
+of shot_rng(seed, s, i), so every shot's randomness is a pure function of
+(seed, stream, shot) regardless of execution order, and sample_purify reads
+them, four per shot, from shot_rng(seed, s, 0). A branch draw compares the
+shot's uniform with f: a uniform below f draws the clean state. Exact and
+sampled rows run one loop, where every round starts from protocol's
+canonical pair at its input fidelity. protocol.canonical_round runs that
+pair exactly, and each shot looks its outcome up in protocol.round_table;
+both read the copies that protocol stages once per (n, basis). The
+wall_time_ms column reads 0 for byte-reproducible files; timing goes to
+stderr.
 """
 
 from __future__ import annotations
@@ -43,9 +39,8 @@ from .states import Ensemble, make_logic_bell
 # Philox4x64-10 (Salmon et al., SC'11) as numpy's Philox runs it: the seed
 # fills the two key words and the stream the top two counter words, so both
 # must be below _KEY_LIMIT. Shots are drawn in chunks of _SHOT_CHUNK so that
-# the uint64 temporaries stay small.
+# the float64 temporaries stay small.
 _KEY_LIMIT = 1 << 128
-_SHIFT11 = np.uint64(11)
 _SHOT_CHUNK = 4096
 # whether cell 4*b + o of the shot tables keeps its shot, whatever branch pair b
 _KEEP = np.tile(KEEP_MASK, 4)
@@ -266,9 +261,9 @@ def shot_rng(seed: int, stream: int, shot: int) -> np.random.Generator:
     """The generator of shot `shot` of stream `stream`.
 
     Its counter starts at (stream << 128) + shot, and numpy bumps it before
-    the first block, so random(3) reads block (stream << 128) + shot + 1,
-    the words sample_purify reads for that shot. Draws past the third run
-    into the next shot's block.
+    each four-double block, so the shot's three uniforms are the first three
+    doubles; the fourth goes unused, and draws past it run into the next
+    shot's block. sample_purify reads a whole stream from shot 0's generator.
     """
     counter = (stream << 128) + shot
     return np.random.Generator(np.random.Philox(key=seed, counter=counter))
@@ -287,11 +282,6 @@ def _shot_tables(n: int, basis: str) -> tuple[np.ndarray, np.ndarray]:
     cdf = np.cumsum(probs, axis=1)
     cdf.flags.writeable = False
     return cdf, fid
-
-
-def _uniforms(w: np.ndarray) -> np.ndarray:
-    """numpy's double from a raw output word: (w >> 11) * 2**-53."""
-    return (w >> _SHIFT11) * 2.0**-53
 
 
 def sample_purify(
@@ -313,18 +303,17 @@ def sample_purify(
     cdf, fid = _shot_tables(n, basis)
     # cdf_at[j][b] is branch b's CDF at outcome j; cell 4*b + o indexes the rest
     cdf_at, fids = cdf.T, fid.ravel()
-    # shot i reads block i of the stream; see the module docstring
-    bits = np.random.Philox(key=seed, counter=stream << 128)
+    # shot i reads row i: the first three doubles of shot_rng(seed, stream, i)
+    rng = shot_rng(seed, stream, 0)
     kept = 0
     fid_sum = 0.0
     for first in range(0, shots, _SHOT_CHUNK):
         count = min(_SHOT_CHUNK, shots - first)
-        w0, w1, w2, _ = bits.random_raw(4 * count).reshape(count, 4).T
-        branch = 2 * (_uniforms(w0) >= f)
-        branch += _uniforms(w1) >= f
+        u0, u1, x, _ = rng.random((count, 4)).T
+        branch = 2 * (u0 >= f)
+        branch += u1 >= f
         # per shot, min(searchsorted(cdf, u2 * cdf[3], side="right"), 3); the
         # CDF never decreases, so counting entries 0..2 alone gives the cap
-        x = _uniforms(w2)
         x *= cdf_at[3].take(branch)
         cell = 4 * branch
         for column in cdf_at[:3]:

@@ -159,9 +159,10 @@ def compare(e: Ensemble, dm: DensityMatrix) -> float:
 
 
 def _logic_pair_density(n: int, f: float, error_kind: str) -> np.ndarray:
-    good = make_logic_bell(n, "phi+").amps
-    bad = make_logic_bell(n, error_kind).amps
-    return f * np.outer(good, good.conj()) + (1.0 - f) * np.outer(bad, bad.conj())
+    """The pair f |phi+><phi+| + (1 - f) |error><error|; only the two
+    branches' nonzero entries are written."""
+    good, bad = make_logic_bell(n, "phi+"), make_logic_bell(n, error_kind)
+    return to_density_matrix(Ensemble(((f, good), (1.0 - f, bad)))).matrix
 
 
 @functools.cache

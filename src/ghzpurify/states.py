@@ -327,7 +327,8 @@ class DensityMatrix:
                 f"density matrices are capped at {DENSITY_MAX_QUBITS} qubits"
             )
         dim = 2**self.register.n_qubits
-        mat = np.array(self.matrix, dtype=np.complex128)
+        # a complex128 array is taken without a copy; its owner must not write to it
+        mat = np.asarray(self.matrix, dtype=np.complex128)
         if mat.shape != (dim, dim):
             raise RegisterError(f"matrix shape {mat.shape} does not match register")
         mat.flags.writeable = False

@@ -12,8 +12,15 @@ import pytest
 from ghzpurify import harness, protocol, states
 from ghzpurify.errors import ConfigError
 from ghzpurify.harness import ExperimentConfig, run_correct, run_sweep
-from ghzpurify.noise import ErrorKind
-from ghzpurify.protocol import BASES, PurifyConfig, purify_round, round_table
+from ghzpurify.noise import ErrorKind, ErrorModel, apply_error_model
+from ghzpurify.protocol import (
+    BASES,
+    PurifyConfig,
+    correct_physical_bitflip,
+    purify_round,
+    round_table,
+)
+from ghzpurify.states import Ensemble, make_logic_bell
 
 KINDS = {"bit": ErrorKind.LOGIC_BITFLIP, "phase": ErrorKind.LOGIC_PHASEFLIP}
 
@@ -23,6 +30,8 @@ WARM_ROW = (16, 32, 2)
 TABLE_BUILD = (20, 40, 2)
 SAMPLED_ROW = (0, 0, 0)
 CORRECT_ROW = {None: (6, 12, 2), 0.7: (9, 18, 2)}
+# the correction alone, on the pair run_correct builds at fidelity 0 or 0.7
+DESTRUCTIVE_CORRECTION = {0.0: (5, 10, 2), 0.7: (8, 16, 2)}
 
 
 @pytest.fixture
@@ -45,9 +54,10 @@ def _work(sizes: list[int], call, *args) -> tuple[int, int, int]:
     return len(sizes), sum(sizes), max(sizes, default=0)
 
 
-def _sweep_row(n: int, basis: str, shots: int = 0) -> ExperimentConfig:
+def _sweep_row(n: int, basis: str, shots: int = 0, rounds: int = 1) -> ExperimentConfig:
     return ExperimentConfig(
-        mode="sweep", n=n, error=KINDS[basis], f_min=0.7, f_max=0.7, steps=1, shots=shots
+        mode="sweep", n=n, error=KINDS[basis], f_min=0.7, f_max=0.7, steps=1, shots=shots,
+        rounds=rounds,
     )
 
 
@@ -59,6 +69,15 @@ def test_exact_row_work(sealed, n, basis):
     states.make_logic_bell.cache_clear()
     assert _work(sealed, run_sweep, cfg) == COLD_ROW[basis]
     assert _work(sealed, run_sweep, cfg) == WARM_ROW
+
+
+@pytest.mark.parametrize("n", range(2, 12))
+def test_warm_three_round_row_work_is_three_warm_rounds(sealed, n):
+    cfg = _sweep_row(n, "bit", rounds=3)
+    run_sweep(cfg)
+    # the work per round is constant
+    count, entries, largest = WARM_ROW
+    assert _work(sealed, run_sweep, cfg) == (3 * count, 3 * entries, largest)
 
 
 @pytest.mark.parametrize("n", range(2, 12))
@@ -79,6 +98,16 @@ def test_correct_row_work(sealed, n, fidelity):
     )
     run_correct(cfg)
     assert _work(sealed, run_correct, cfg) == CORRECT_ROW[fidelity]
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+@pytest.mark.parametrize("fidelity", DESTRUCTIVE_CORRECTION)
+def test_destructive_correction_work(sealed, n, fidelity):
+    model = ErrorModel(kind=ErrorKind.PHYS_BITFLIP, fidelity=fidelity, target="A", position=1)
+    pair = apply_error_model(Ensemble.pure(make_logic_bell(n, "phi+")), model, n)
+    assert _work(
+        sealed, correct_physical_bitflip, pair, "A", "destructive", 1
+    ) == DESTRUCTIVE_CORRECTION[fidelity]
 
 
 def test_refused_block_size_builds_no_state(sealed):

@@ -20,7 +20,6 @@ from ghzpurify.harness import (
     _KEEP,
     _SHOT_CHUNK,
     _shot_tables,
-    _uniforms,
     parse_config_file,
     render_csv,
     resolve_config,
@@ -32,7 +31,6 @@ from ghzpurify.harness import (
     write_results,
 )
 import ghzpurify
-import ghzpurify.harness as harness
 from ghzpurify.noise import ErrorKind, ErrorModel, apply_error_model
 from ghzpurify.protocol import (
     KEPT_OUTCOMES,
@@ -344,43 +342,14 @@ def test_sample_purify_refuses_keys_outside_128_bits(seed, stream):
 
 @pytest.mark.parametrize("seed", [0, 5, 2**32 - 1, 2**64 + 5, 2**128 - 1])
 @pytest.mark.parametrize("stream", [0, 1, 2**70 + 3])
-def test_shot_uniforms_match_shot_rng_bit_for_bit(seed, stream, monkeypatch):
-    # the words sample_purify turns into uniforms, three per chunk, in order
-    read = []
-
-    def spy(w):
-        read.append(w)
-        return _uniforms(w)
-
-    monkeypatch.setattr(harness, "_uniforms", spy)
-    sample_purify(2, "bit", 0.5, shots=_SHOT_CHUNK + 2, seed=seed, stream=stream)
-    assert [len(w) for w in read] == [_SHOT_CHUNK] * 3 + [2] * 3
-    got = np.concatenate([_uniforms(np.stack(read[k : k + 3])) for k in (0, 3)], axis=1)
-    want = [shot_rng(seed, stream, i).random(3) for i in range(_SHOT_CHUNK + 2)]
-    assert np.array_equal(got, np.array(want).T)
-    # shot indices past 32 and 64 bits: consecutive shots are consecutive
-    # blocks of one stream, so the counter carries as sample_purify's does
-    for first in (2**32 - 3, 2**63 + 11, 2**64 - 3):
-        bits = np.random.Philox(key=seed, counter=(stream << 128) + first)
-        words = bits.random_raw(4 * 6).reshape(6, 4)[:, :3]
-        far = [shot_rng(seed, stream, first + k).random(3) for k in range(6)]
-        assert np.array_equal(_uniforms(words), np.array(far))
-
-
-@pytest.mark.parametrize("f", [0.0, 0.5, 1.0, 2**-60, 0.3, 0.8, 1.0 - 2**-53])
-def test_integer_branch_threshold_agrees_with_the_uniform_on_ties(f):
-    # uniforms on the 2**-53 grid at f, one step below it and one above it,
-    # each with the 11 discarded low bits all clear and all set
-    k = math.floor(f * 2**53)
-    grid = {g for g in (k - 1, k, k + 1) if 0 <= g < 2**53}
-    words = np.array(
-        [(g << 11) | low for g in sorted(grid) for low in (0, 2**11 - 1)], np.uint64
-    )
-    uniforms = [int(w >> 11) * 2**-53 for w in words]
-    assert any(u < f for u in uniforms) or f == 0.0
-    assert any(u >= f for u in uniforms) or f == 1.0
-    want = np.array([u >= f for u in uniforms])
-    assert np.array_equal(_uniforms(words) >= f, want)
+def test_shot_uniforms_match_shot_rng_bit_for_bit(seed, stream):
+    # sample_purify reads shot i as row i of shot_rng(seed, stream, 0); shot
+    # indices past 32 and 64 bits check that the counter carries into the
+    # next word as one generator's does
+    for first in (0, 2**32 - 3, 2**63 + 11, 2**64 - 3):
+        rows = shot_rng(seed, stream, first).random((6, 4))[:, :3]
+        shots = [shot_rng(seed, stream, first + k).random(3) for k in range(6)]
+        assert np.array_equal(rows, np.array(shots))
 
 
 def test_shot_tables_are_cached_and_read_only():

@@ -232,7 +232,8 @@ def _oracle_round_kron(n, basis, f):
     """Reference spelling of the 2n + 2 staging: rho (x) the second copy's
     (a1, b1) corner, with the bilateral CNOTs conjugated gate by gate."""
     reg_ab = register([("a", n), ("b", n)])
-    rho = oracle._logic_pair_density(n, f, "psi+" if basis == "bit" else "phi-")
+    # a writable copy: the reduction below runs in place on rho
+    rho = oracle._logic_pair_density(n, f, "psi+" if basis == "bit" else "phi-").copy()
     dim = len(rho)
     t1 = rho.reshape((2,) * (4 * n))
     fan_out = [("cnot", f"{p}1", f"{p}{k}") for p in "ab" for k in range(2, n + 1)]
